@@ -1,6 +1,5 @@
 """Neural EM for semi-competing risks under the gamma-frailty illness-death model."""
 
-from ._backend import BACKEND, USE_NUMBA
 from .core import (
     Dataset,
     DatasetValidationError,

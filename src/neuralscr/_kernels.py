@@ -1,13 +1,11 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels of the neural EM.
 
-Everything here is written in the restricted numpy subset that numba's
-nopython mode accepts, so the exact same source serves as the pure-numpy
-fallback (see :mod:`neuralscr._backend`).  Python-facing wrappers with
-validation live in the regular modules; these functions assume clean inputs.
+Python-facing wrappers with validation live in the regular modules; these
+functions assume clean inputs.
 
 Dropout masks come from a counter-based splitmix64 stream keyed on
-(seed, epoch, sub-network, layer), so both backends draw identical masks
-and no global generator state is touched.
+(seed, epoch, sub-network, layer), so a mask depends on its key alone and no
+global generator state is touched.
 """
 
 from __future__ import annotations
@@ -15,55 +13,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import psi
 
-from ._backend import kernel
-
-# ---------------------------------------------------------------------------
-# digamma: recurrence shift above 6, then the asymptotic (Bernoulli) series
-# through y**-12.  Accurate to ~1e-12 for x >= 1e-3.
-# ---------------------------------------------------------------------------
-
-
-@kernel
-def digamma_vec(x):
-    shift = (
-        1.0 / x
-        + 1.0 / (x + 1.0)
-        + 1.0 / (x + 2.0)
-        + 1.0 / (x + 3.0)
-        + 1.0 / (x + 4.0)
-        + 1.0 / (x + 5.0)
-        + 1.0 / (x + 6.0)
-    )
-    y = x + 7.0
-    u = 1.0 / (y * y)
-    corr = u * (
-        1.0 / 12.0
-        - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0)))))
-    )
-    return np.log(y) - 0.5 / y - corr - shift
-
-
-@kernel
-def digamma_scalar(x):
-    shift = 0.0
-    for j in range(7):
-        shift += 1.0 / (x + j)
-    y = x + 7.0
-    u = 1.0 / (y * y)
-    corr = u * (
-        1.0 / 12.0
-        - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0)))))
-    )
-    return math.log(y) - 0.5 / y - corr - shift
-
+_MASK64 = (1 << 64) - 1
 
 # ---------------------------------------------------------------------------
 # Step cumulative hazard evaluation.
 # ---------------------------------------------------------------------------
 
 
-@kernel
 def step_cumulative(jump_times, padded_cum, t):
     """Lambda(t) for a right-continuous step function.
 
@@ -74,7 +32,6 @@ def step_cumulative(jump_times, padded_cum, t):
     return padded_cum[idx]
 
 
-@kernel
 def step_jump_at(jump_times, jump_sizes, t):
     """Jump size at exactly t (0.0 where t is not a jump time)."""
     n = jump_times.shape[0]
@@ -90,38 +47,42 @@ def step_jump_at(jump_times, jump_sizes, t):
 # ---------------------------------------------------------------------------
 
 
-@kernel
 def breslow_jumps(event_times, at_risk_times, at_risk_weights):
-    u = np.unique(event_times)
-    ev_sorted = np.sort(event_times)
-    left = np.searchsorted(ev_sorted, u, side="left")
-    right = np.searchsorted(ev_sorted, u, side="right")
-    counts = (right - left).astype(np.float64)
-
+    u, counts = np.unique(event_times, return_counts=True)
     order = np.argsort(at_risk_times)
     rt = at_risk_times[order]
-    rw = at_risk_weights[order]
-    csum = np.concatenate((np.zeros(1), np.cumsum(rw)))
-    total = csum[-1]
-    idx = np.searchsorted(rt, u, side="left")
-    denom = total - csum[idx]
+    csum = np.concatenate((np.zeros(1), np.cumsum(at_risk_weights[order])))
+    denom = csum[-1] - csum[np.searchsorted(rt, u, side="left")]
     return u, counts / denom
 
 
 # ---------------------------------------------------------------------------
-# Counter-based uniforms (splitmix64) for dropout masks.
+# Counter-based uniforms (splitmix64) for dropout masks.  Keys are Python
+# integers reduced modulo 2**64; the uint64 array arithmetic below wraps
+# modulo 2**64, which is the generator's own arithmetic.
 # ---------------------------------------------------------------------------
 
 
-@kernel
 def uniform_block(key, count):
     """`count` uniforms in [0, 1) from the splitmix64 stream at `key`."""
-    idx = np.arange(count).astype(np.uint64)
-    z = np.uint64(key) + (idx + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = np.uint64(key) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def dropout_mask(key, g, layer, rows, cols, q):
+    """Inverted-dropout mask for hidden `layer` of sub-network g.
+
+    Entries are 0 with probability q and 1/(1-q) otherwise; the last row,
+    the zero-covariate reference, is never dropped.
+    """
+    layer_key = (int(key) + (g * 16 + layer) * 0xD1B54A32D192ED03) & _MASK64
+    u = uniform_block(layer_key, rows * cols).reshape(rows, cols)
+    mask = np.where(u < q, 0.0, 1.0 / (1.0 - q))
+    mask[-1] = 1.0
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +102,48 @@ def uniform_block(key, count):
 # ---------------------------------------------------------------------------
 
 
-@kernel
+def live_layers(W, B, dims, g):
+    """(weight, bias) views of the live blocks of packed sub-network g."""
+    return [(W[g, l, :dout, :din], B[g, l, :dout])
+            for l, (din, dout) in enumerate(zip(dims[:-1], dims[1:]))]
+
+
+def mlp(layers, A, masks=None):
+    """The forward recursion: relu hidden layers, linear output.
+
+    Returns every layer's input and pre-activation; the network output is
+    zs[-1][:, 0].  masks[l], when given, multiplies the activations of
+    hidden layer l (dropout).
+    """
+    ins, zs = [], []
+    for l, (w, b) in enumerate(layers):
+        if l:
+            A = np.maximum(zs[-1], 0.0)
+            if masks is not None:
+                A = A * masks[l - 1]
+        ins.append(A)
+        zs.append(A @ w.T + b)
+    return ins, zs
+
+
+def _with_reference_row(X):
+    return np.concatenate((X, np.zeros((1, X.shape[1]))))
+
+
 def net_forward(W, B, dims, g, X):
     """Deterministic centered forward pass of sub-network g: (n,) output."""
-    n = X.shape[0]
-    n_layers = dims.shape[0] - 1
-    Xa = np.zeros((n + 1, X.shape[1]))
-    Xa[:n] = X
-    A = Xa
-    for l in range(n_layers):
-        din = dims[l]
-        dout = dims[l + 1]
-        Wl = np.ascontiguousarray(W[g, l, :dout, :din])
-        Z = np.dot(A, Wl.T) + B[g, l, :dout]
-        if l < n_layers - 1:
-            A = np.maximum(Z, 0.0)
-        else:
-            A = Z
-    out = np.empty(n)
-    out[:] = A[:n, 0] - A[n, 0]
-    return out
+    _, zs = mlp(live_layers(W, B, dims, g), _with_reference_row(X))
+    out = zs[-1][:, 0]
+    return out[:-1] - out[-1]
 
 
-@kernel
+def q4(nf, xi, sum_elog, sum_egam):
+    """Q4, the frailty-variance part of Q, at xi = log(theta) for n = nf
+    subjects with posterior moment sums sum(E[log gamma]), sum(E[gamma])."""
+    inv_t = 1.0 / math.exp(xi)
+    return -nf * xi * inv_t + (inv_t - 1.0) * sum_elog - inv_t * sum_egam - nf * math.lgamma(inv_t)
+
+
 def q_loss_eval(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2):
     """Full-objective value -(Q1+Q2+Q3+Q4)/n + l2 * sum of squared weights
     and biases.
@@ -173,24 +153,15 @@ def q_loss_eval(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2):
     hidden biases keeps the sub-networks close to the positively-homogeneous
     subclass, which pins the additive level of h against the baselines.
     """
-    n = X.shape[0]
-    nf = float(n)
+    nf = float(X.shape[0])
     q = const_q123
     for g in range(3):
         h = net_forward(W, B, dims, g, X)
         q += np.sum(ev[g] * h - egam * lam[g] * np.exp(h))
-    theta = math.exp(xi)
-    inv_t = 1.0 / theta
-    q += (
-        -nf * xi * inv_t
-        + (inv_t - 1.0) * np.sum(elog)
-        - inv_t * np.sum(egam)
-        - nf * math.lgamma(inv_t)
-    )
+    q += q4(nf, xi, np.sum(elog), np.sum(egam))
     return -q / nf + l2 * (np.sum(W * W) + np.sum(B * B))
 
 
-@kernel
 def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
                    dropout_q, rng_key, train_xi):
     """Training loss with dropout plus reverse-mode gradients.
@@ -200,78 +171,42 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
     """
     n = X.shape[0]
     nf = float(n)
-    na = n + 1  # batch plus the reference (zero-covariate) row
-    n_layers = dims.shape[0] - 1
-    kmax = W.shape[2]
-
+    Xa = _with_reference_row(X)
     dW = np.zeros_like(W)
     dB = np.zeros_like(B)
 
-    Xa = np.zeros((na, X.shape[1]))
-    Xa[:n] = X
-
     q = const_q123
     for g in range(3):
-        # only the live blocks are ever written and read back
-        zs = np.empty((n_layers, na, kmax))
-        ins = np.empty((n_layers, na, kmax))
-        masks = np.empty((n_layers, na, kmax))
-        A = Xa
-        for l in range(n_layers):
-            din = dims[l]
-            dout = dims[l + 1]
-            ins[l, :, :din] = A
-            Wl = np.ascontiguousarray(W[g, l, :dout, :din])
-            Z = np.dot(np.ascontiguousarray(A), Wl.T) + B[g, l, :dout]
-            zs[l, :, :dout] = Z
-            if l < n_layers - 1:
-                H = np.maximum(Z, 0.0)
-                if dropout_q > 0.0:
-                    u = uniform_block(
-                        np.uint64(rng_key) + np.uint64(g * 16 + l) * np.uint64(0xD1B54A32D192ED03),
-                        na * dout,
-                    ).reshape(na, dout)
-                    mask = np.where(u < dropout_q, 0.0, 1.0 / (1.0 - dropout_q))
-                    mask[na - 1] = 1.0  # the reference row stays deterministic
-                    masks[l, :, :dout] = mask
-                    H = H * mask
-                else:
-                    masks[l, :, :dout] = 1.0
-                A = H
-            else:
-                A = Z
-
-        h = np.empty(n)
-        h[:] = A[:n, 0] - A[n, 0]
+        layers = live_layers(W, B, dims, g)
+        masks = None
+        if dropout_q > 0.0:
+            masks = [dropout_mask(rng_key, g, l, n + 1, w.shape[0], dropout_q)
+                     for l, (w, _) in enumerate(layers[:-1])]
+        ins, zs = mlp(layers, Xa, masks)
+        out = zs[-1][:, 0]
+        h = out[:n] - out[n]
         eh = np.exp(h)
         q += np.sum(ev[g] * h - egam * lam[g] * eh)
 
         # d(loss)/dh_g with loss = -Q/n + penalty; the reference output
         # receives minus the total upstream gradient
         dh = -(ev[g] - egam * lam[g] * eh) / nf
-        dZ = np.empty((na, 1))
-        dZ[:n, 0] = dh
-        dZ[n, 0] = -np.sum(dh)
-        for l in range(n_layers - 1, -1, -1):
-            din = dims[l]
-            dout = dims[l + 1]
-            Ain = np.ascontiguousarray(ins[l, :, :din])
-            dW[g, l, :dout, :din] += np.dot(np.ascontiguousarray(dZ.T), Ain)
-            if l < n_layers - 1:
+        dZ = np.append(dh, -np.sum(dh))[:, None]
+        for l in range(len(layers) - 1, -1, -1):
+            w = layers[l][0]
+            dout, din = w.shape
+            dW[g, l, :dout, :din] += dZ.T @ ins[l]
+            if l < len(layers) - 1:
                 dB[g, l, :dout] += dZ.sum(axis=0)
             if l > 0:
-                Wl = np.ascontiguousarray(W[g, l, :dout, :din])
-                dA = np.dot(np.ascontiguousarray(dZ), Wl)
-                dH = dA * masks[l - 1, :, :din]
-                dZ = np.ascontiguousarray(
-                    np.where(zs[l - 1, :, :din] > 0.0, dH, 0.0)
-                )
+                dH = dZ @ w
+                if masks is not None:
+                    dH = dH * masks[l - 1]
+                dZ = np.where(zs[l - 1] > 0.0, dH, 0.0)
 
-    theta = math.exp(xi)
-    inv_t = 1.0 / theta
     sum_elog = np.sum(elog)
     sum_egam = np.sum(egam)
-    q += -nf * xi * inv_t + (inv_t - 1.0) * sum_elog - inv_t * sum_egam - nf * math.lgamma(inv_t)
+    q += q4(nf, xi, sum_elog, sum_egam)
 
     loss = -q / nf + l2 * (np.sum(W * W) + np.sum(B * B))
     dW += 2.0 * l2 * W
@@ -279,12 +214,12 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
 
     dxi = 0.0
     if train_xi != 0:
-        dq4_dxi = inv_t * (nf * (xi - 1.0 + digamma_scalar(inv_t)) - sum_elog + sum_egam)
-        dxi = -dq4_dxi / nf
+        inv_t = 1.0 / math.exp(xi)
+        dq4_dxi = inv_t * (nf * (xi - 1.0 + psi(inv_t)) - sum_elog + sum_egam)
+        dxi = float(-dq4_dxi / nf)
     return loss, dW, dB, dxi
 
 
-@kernel
 def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
                    lr, lr_xi, dropout_q, l2, epochs, seed, train_xi):
     """Full-batch adaptive-moment training of the three sub-networks and xi.
@@ -321,10 +256,7 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
 
     for epoch in range(epochs + 1):
         if epoch < epochs:
-            epoch_key = (
-                np.uint64(seed) * np.uint64(0x9E3779B97F4A7C15)
-                + np.uint64(epoch) * np.uint64(0xBF58476D1CE4E5B9)
-            )
+            epoch_key = (int(seed) * 0x9E3779B97F4A7C15 + epoch * 0xBF58476D1CE4E5B9) & _MASK64
             train_loss, dW, dB, dxi = loss_and_grads(
                 W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
                 dropout_q, epoch_key, train_xi,

@@ -61,28 +61,28 @@ def _load_config(path):
 def _merged(args, key: str, config: dict, default=None):
     """Flag value if given, else config-file value, else default."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+    if value is None:
+        value = config.get(key)
+    return default if value is None else value
 
 
 def _em_config(args, config) -> EMConfig:
     return EMConfig(
-        max_iterations=int(_merged(args, "em_iterations", config, 200) or 200),
-        tolerance=float(_merged(args, "em_tolerance", config, 1e-6) or 1e-6),
-        n_step_epochs_per_iteration=int(_merged(args, "epochs", config, 10) or 10),
-        seed=int(_merged(args, "seed", config, 0) or 0),
+        max_iterations=int(_merged(args, "em_iterations", config, 200)),
+        tolerance=float(_merged(args, "em_tolerance", config, 1e-6)),
+        n_step_epochs_per_iteration=int(_merged(args, "epochs", config, 10)),
+        seed=int(_merged(args, "seed", config, 0)),
     )
 
 
 def _train_config(args, config) -> TrainConfig:
     return TrainConfig(
-        learning_rate=float(_merged(args, "learning_rate", config, 1e-3) or 1e-3),
-        dropout_fraction=float(_merged(args, "dropout", config, 0.1) if _merged(args, "dropout", config, 0.1) is not None else 0.1),
-        l2_rate=float(_merged(args, "l2", config, 1e-4) if _merged(args, "l2", config, 1e-4) is not None else 1e-4),
-        hidden_layers=int(_merged(args, "layers", config, 2) or 2),
-        nodes=int(_merged(args, "nodes", config, 32) or 32),
-        seed=int(_merged(args, "seed", config, 0) or 0),
+        learning_rate=float(_merged(args, "learning_rate", config, 1e-3)),
+        dropout_fraction=float(_merged(args, "dropout", config, 0.1)),
+        l2_rate=float(_merged(args, "l2", config, 1e-4)),
+        hidden_layers=int(_merged(args, "layers", config, 2)),
+        nodes=int(_merged(args, "nodes", config, 32)),
+        seed=int(_merged(args, "seed", config, 0)),
     )
 
 
@@ -121,7 +121,7 @@ def _cmd_fit(args) -> int:
         args.model,
         em_config=_em_config(args, config),
         train_config=_train_config(args, config),
-        seed=int(_merged(args, "seed", config, 0) or 0),
+        seed=int(_merged(args, "seed", config, 0)),
         theta_init=args.theta_init,
     )
     save_model(fitted.model, args.out)
@@ -175,7 +175,7 @@ def _cmd_cv(args) -> int:
         args.model,
         folds=args.folds,
         horizon=args.horizon,
-        seed=int(_merged(args, "seed", config, 0) or 0),
+        seed=int(_merged(args, "seed", config, 0)),
         em_config=_em_config(args, config),
         train_config=_train_config(args, config),
     )
@@ -197,7 +197,7 @@ def _cmd_bootstrap(args) -> int:
         dataset,
         args.model,
         resamples=args.resamples,
-        seed=int(_merged(args, "seed", config, 0) or 0),
+        seed=int(_merged(args, "seed", config, 0)),
         em_config=_em_config(args, config),
         train_config=_train_config(args, config),
     )
@@ -227,7 +227,7 @@ def _cmd_replicate_study(args) -> int:
     rows = harness.replicate_study(
         args.study,
         replicates=args.replicates,
-        seed=int(_merged(args, "seed", config, 0) or 0),
+        seed=int(_merged(args, "seed", config, 0)),
         n=args.n,
         settings=[int(s) for s in args.settings.split(",")] if args.settings else None,
         em_config=_em_config(args, config),

@@ -105,15 +105,7 @@ def q_function(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState
 
 def q4_value(log_theta: float, egam: np.ndarray, elog: np.ndarray) -> float:
     """Q4 as a function of log(theta) for fixed posterior moments."""
-    theta = math.exp(log_theta)
-    inv_t = 1.0 / theta
-    n = len(egam)
-    return float(
-        -n * inv_t * log_theta
-        + (inv_t - 1.0) * np.sum(elog)
-        - inv_t * np.sum(egam)
-        - n * math.lgamma(inv_t)
-    )
+    return float(_kernels.q4(float(len(egam)), log_theta, np.sum(elog), np.sum(egam)))
 
 
 def maximize_q4_theta(posteriors: FrailtyPosterior) -> float:
@@ -163,11 +155,7 @@ def m_step(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState):
         if len(ev_times) == 0:
             out.append(StepHazard.empty())
             continue
-        times, jumps = _kernels.breslow_jumps(
-            np.ascontiguousarray(ev_times, dtype=float),
-            np.ascontiguousarray(risk_times, dtype=float),
-            np.ascontiguousarray(weights, dtype=float),
-        )
+        times, jumps = _kernels.breslow_jumps(ev_times, risk_times, weights)
         if not np.all(np.isfinite(jumps)) or np.any(jumps <= 0):
             raise EmptyRiskSetError("empty weighted risk set at an event time")
         out.append(StepHazard(times, jumps))

@@ -15,24 +15,19 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import psi
 
-from . import _kernels
 from .core import Dataset, ModelState, ObservedRecord
 from .likelihood import evaluate_terms
 
 
 def digamma(x):
-    """Logarithmic derivative of the gamma function.
-
-    Recurrence shifts the argument above 6, then the asymptotic series with
-    Bernoulli terms through x**-12; accurate to ~1e-10 for x >= 1e-3.
-    """
-    arr = np.ndim(x) > 0
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """Logarithmic derivative of the gamma function, for positive arguments."""
+    x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("digamma requires a positive argument")
-    out = _kernels.digamma_vec(x_arr)
-    return out if arr else float(out[0])
+    out = psi(x_arr)
+    return out if np.ndim(x) > 0 else float(out)
 
 
 @dataclass(frozen=True)
@@ -66,5 +61,5 @@ def posterior(data: Union[Dataset, ObservedRecord], state: ModelState) -> Frailt
         a_tilde=a_tilde,
         b_tilde=b_tilde,
         mean=a_tilde / b_tilde,
-        log_mean=_kernels.digamma_vec(a_tilde) - np.log(b_tilde),
+        log_mean=psi(a_tilde) - np.log(b_tilde),
     )

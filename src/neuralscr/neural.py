@@ -99,33 +99,16 @@ def init_network(p: int, hidden_layers: int, nodes: int, rng) -> RiskNetwork:
     return RiskNetwork(weights, biases)
 
 
-def forward(network: RiskNetwork, x, training: bool = False,
-            dropout: float = 0.0, rng=None) -> float | np.ndarray:
-    """h(x): relu hidden layers, linear output.
-
-    With training=True, hidden activations are dropped with probability
-    `dropout` and survivors rescaled by 1/(1-dropout) (inverted dropout);
-    prediction passes are deterministic.
-    """
+def forward(network: RiskNetwork, x) -> float | np.ndarray:
+    """h(x) of one sub-network, uncentered: relu hidden layers, linear output."""
     single = np.ndim(x) == 1
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.shape[1] != network.input_dim:
         raise ValueError(
             f"expected covariate dimension {network.input_dim}, got {a.shape[1]}"
         )
-    n_layers = len(network.weights)
-    for l, (w, b) in enumerate(zip(network.weights, network.biases)):
-        z = a @ w.T + b
-        if l < n_layers - 1:
-            a = np.maximum(z, 0.0)
-            if training and dropout > 0.0:
-                if rng is None:
-                    raise ValueError("training-mode dropout needs an rng")
-                mask = rng.random(a.shape) >= dropout
-                a = a * mask / (1.0 - dropout)
-        else:
-            a = z
-    out = a[:, 0]
+    _, zs = _kernels.mlp(list(zip(network.weights, network.biases)), a)
+    out = zs[-1][:, 0]
     return float(out[0]) if single else out
 
 
@@ -182,7 +165,7 @@ class NeuralRisk:
         return unpack_networks(self.W, self.B, self.dims)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         cols = [_kernels.net_forward(self.W, self.B, self.dims, g, x) for g in range(3)]
         return np.column_stack(cols)
 
@@ -202,8 +185,7 @@ def _loss_inputs(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelSta
                 f"zero jump size at an observed transition-{g + 1} event time"
             )
         const += float(np.sum(ev[g][mask] * np.log(haz[mask])))
-    x = np.ascontiguousarray(dataset.x, dtype=float)
-    return x, ev, lam, const
+    return dataset.x, ev, lam, const
 
 
 def loss(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState,

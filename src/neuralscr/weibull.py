@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import gammaln, psi
 
-from ._kernels import digamma_scalar, digamma_vec
 from .core import Dataset, LinearRisk, ModelState, WeibullHazard
 from .likelihood import joint_event_free_survival
 
@@ -130,8 +129,8 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset):
             grad[6 + g * p: 6 + (g + 1) * p] = gb
 
     dll_dtheta_part = (
-        -digamma_vec(a_tilde)
-        + digamma_scalar(inv_t)
+        -psi(a_tilde)
+        + psi(inv_t)
         + log_theta
         - 1.0
         + np.log(b_tilde)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from neuralscr.cli import main
+from neuralscr.cli import _train_config, build_parser, main
 from neuralscr.serialize import read_dataset_csv, read_table_csv
 
 
@@ -128,6 +128,21 @@ class TestExitCodes:
         code = main(["evaluate", "--data", str(data), "--preds", str(preds),
                      "--horizon", "1.0", "--out", str(tmp_path / "bbs.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--em-iterations", "0", 2),
+        ("--em-tolerance", "0", 2),
+        ("--nodes", "0", 2),
+        ("--layers", "0", 2),
+        ("--dropout", "0", 0),
+    ])
+    def test_explicit_zero_is_not_the_default(self, data_csv, tmp_path, flag, value, code):
+        argv = ["fit", "--data", str(data_csv), "--model", "neural",
+                "--out", str(tmp_path / "m.json"), "--em-iterations", "2", "--epochs", "2",
+                "--nodes", "4", "--layers", "1", "--theta-init", "0.5", flag, value]
+        assert main(argv) == code
+        if flag == "--dropout":
+            assert _train_config(build_parser().parse_args(argv), {}).dropout_fraction == 0.0
 
     @staticmethod
     def _degenerate_model(tmp_path):

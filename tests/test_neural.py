@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from neuralscr import _kernels
 from neuralscr.core import Dataset, ModelState, StepHazard, ZeroRisk
 from neuralscr.em import EMConfig, nelson_aalen_seed, q_function, run_em
 from neuralscr.frailty import posterior
@@ -53,6 +54,21 @@ def neural_state(rng, ds, theta=0.7, **net_kw):
     return ModelState(b1, b2, b3, theta=theta, risk_model=risk)
 
 
+def kernel_inputs(seed, n):
+    """(W, B, dims, X, ev, lam, egam, elog, const, xi): the leading arguments
+    of the training kernels for a random dataset and network."""
+    from neuralscr.neural import _loss_inputs
+
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n=n)
+    state = neural_state(rng, ds)
+    post = posterior(ds, state)
+    x, ev, lam, const = _loss_inputs(ds, post, state)
+    risk = state.risk_model
+    return (risk.W, risk.B, risk.dims, x, ev, lam, post.mean, post.log_mean, const,
+            math.log(state.theta))
+
+
 class TestForward:
     def test_zero_network_outputs_zero(self):
         net = RiskNetwork(
@@ -86,31 +102,29 @@ class TestForward:
         rng = np.random.default_rng(9)
         net = jittered_networks(rng)[0]
         x = rng.normal(size=(20, 2))
-        a = forward(net, x, training=False)
-        b = forward(net, x, training=False)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(forward(net, x), forward(net, x))
 
     def test_dropout_unbiased_through_linear_output(self):
         # inverted dropout: E[masked activations] equals the deterministic
         # activations, so a single-hidden-layer output is unbiased
         rng = np.random.default_rng(10)
         net = jittered_networks(rng, layers=1, nodes=64)[0]
+        layers = list(zip(net.weights, net.biases))
         x = rng.normal(size=(5, 2))
-        gen = np.random.default_rng(0)
-        draws = np.array(
-            [forward(net, x, training=True, dropout=0.4, rng=gen) for _ in range(3000)]
-        )
-        se = draws.std(axis=0) / math.sqrt(len(draws))
-        diff = np.abs(draws.mean(axis=0) - forward(net, x))
+        # the mask's last row is the never-dropped reference row
+        draws = np.array([
+            _kernels.mlp(layers, x, [_kernels.dropout_mask(key, 0, 0, 5, 64, 0.4)])[1][-1][:, 0]
+            for key in range(3000)
+        ])
+        se = draws[:, :-1].std(axis=0) / math.sqrt(len(draws))
+        diff = np.abs(draws[:, :-1].mean(axis=0) - forward(net, x[:-1]))
         assert np.all(diff < 4 * se + 1e-12)
 
     def test_dropout_changes_training_outputs(self):
-        rng = np.random.default_rng(101)
-        net = jittered_networks(rng)[0]
-        x = rng.normal(size=(30, 2))
-        gen = np.random.default_rng(0)
-        noisy = forward(net, x, training=True, dropout=0.5, rng=gen)
-        assert not np.allclose(noisy, forward(net, x))
+        args = kernel_inputs(101, 30)
+        clean = _kernels.loss_and_grads(*args, 0.0, 0.0, 0, 1)[0]
+        noisy = _kernels.loss_and_grads(*args, 0.0, 0.5, 12345, 1)[0]
+        assert noisy != pytest.approx(clean, rel=1e-6)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
@@ -121,6 +135,41 @@ class TestForward:
     def test_output_bias_must_be_zero(self):
         with pytest.raises(ValueError):
             RiskNetwork([np.zeros((1, 2))], [np.array([0.5])])
+
+
+class TestDropoutMask:
+    """The counter-based splitmix64 mask, the one dropout of the N-step."""
+
+    def test_kept_fraction(self):
+        for q in (0.1, 0.25, 0.5):
+            mask = _kernels.dropout_mask(99, 1, 0, 2001, 50, q)[:-1]
+            se = math.sqrt(q * (1 - q) / mask.size)
+            assert abs(np.mean(mask > 0) - (1 - q)) < 4 * se
+            assert set(np.unique(mask)) == {0.0, 1.0 / (1.0 - q)}
+
+    def test_inverted_scaling_is_unbiased(self):
+        q = 0.3
+        mask = _kernels.dropout_mask(7, 2, 1, 4001, 32, q)[:-1]
+        se = math.sqrt(q / (1 - q) / mask.size)
+        assert abs(mask.mean() - 1.0) < 4 * se
+
+    def test_reference_row_never_dropped(self):
+        for key in range(200):
+            mask = _kernels.dropout_mask(key, key % 3, key % 2, 3, 16, 0.9)
+            np.testing.assert_array_equal(mask[-1], 1.0)
+
+    def test_fixed_key_gives_same_mask(self):
+        a = _kernels.dropout_mask(2**64 - 1, 2, 1, 40, 8, 0.25)
+        b = _kernels.dropout_mask(2**64 - 1, 2, 1, 40, 8, 0.25)
+        np.testing.assert_array_equal(a, b)
+        c = _kernels.dropout_mask(2**64 - 2, 2, 1, 40, 8, 0.25)
+        assert not np.array_equal(a, c)
+
+    def test_training_with_dropout_raises_no_runtime_warning(self):
+        args = kernel_inputs(21, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _kernels.train_networks(*args, 1e-3, 0.05, 0.25, 1e-4, 5, 2**32 - 1, 1)
 
 
 class TestNeuralRiskValues:
