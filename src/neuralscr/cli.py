@@ -15,7 +15,7 @@ import numpy as np
 
 from . import harness
 from .core import DatasetValidationError, validate_dataset
-from .em import EMConfig, EmptyRiskSetError, NonFiniteQError
+from .em import EMConfig, EmptyRiskSetError
 from .likelihood import joint_event_free_survival
 from .metrics import ZeroWeightError, integrated_bbs, reverse_km
 from .neural import TrainConfig
@@ -40,7 +40,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 NUMERIC_ERRORS = (
-    NonFiniteQError,
     EmptyRiskSetError,
     OptimizerFailureError,
     ZeroWeightError,

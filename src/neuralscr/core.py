@@ -11,6 +11,7 @@ with jumps at event times or two-parameter Weibull curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -22,6 +23,8 @@ RULE_INDICATOR = "IndicatorInconsistency"
 RULE_NONPOSITIVE = "NonPositiveTime"
 RULE_ZERO_SOJOURN = "ZeroSojourn"
 RULE_RAGGED = "RaggedCovariates"
+RULE_INDICATOR_DOMAIN = "IndicatorOutsideZeroOne"
+RULE_NONFINITE_COVARIATE = "NonFiniteCovariate"
 
 
 class DatasetValidationError(ValueError):
@@ -57,6 +60,25 @@ class ObservedRecord:
         )
 
 
+@dataclass(frozen=True)
+class Transitions:
+    """The three transitions of a dataset, one row each (g = 0, 1, 2 for
+    transitions 1, 2, 3); every array has shape (3, n) and is read-only.
+
+    event: 1 where the subject makes the transition -- delta1,
+    (1 - delta1) * delta2 and delta1 * delta2.  event_time: y1, y2 and the
+    sojourn y2 - y1.  exposure: the time at risk -- exposure to transitions 1
+    and 2 ends at the first event, so both use y1, and transition 3 runs on
+    the sojourn clock.  at_risk: every subject for transitions 1 and 2, only
+    subjects with delta1 = 1 for transition 3.
+    """
+
+    event: np.ndarray
+    event_time: np.ndarray
+    exposure: np.ndarray
+    at_risk: np.ndarray
+
+
 class Dataset:
     """Columnar view of a set of :class:`ObservedRecord`.
 
@@ -89,6 +111,19 @@ class Dataset:
     def sojourn(self) -> np.ndarray:
         """y2 - y1, clipped at 0 to absorb float noise."""
         return np.maximum(self.y2 - self.y1, 0.0)
+
+    @cached_property
+    def transitions(self) -> Transitions:
+        d1, d2, soj = self.delta1, self.delta2, self.sojourn
+        view = Transitions(
+            event=np.vstack([d1, (1.0 - d1) * d2, d1 * d2]),
+            event_time=np.vstack([self.y1, self.y2, soj]),
+            exposure=np.vstack([self.y1, self.y1, soj]),
+            at_risk=np.vstack([np.ones((2, self.n), dtype=bool), d1 == 1]),
+        )
+        for arr in vars(view).values():
+            arr.flags.writeable = False
+        return view
 
     @classmethod
     def from_records(cls, records: Sequence[ObservedRecord]) -> "Dataset":
@@ -137,8 +172,13 @@ def validation_report(data: Union[Dataset, Sequence[ObservedRecord]]):
     wedge = data.y1 > data.y2
     indicator = (data.delta1 == 0) & (data.y1 != data.y2)
     zero_sojourn = (data.delta1 == 1) & (data.delta2 == 1) & (data.y1 == data.y2)
+    off_domain = ~np.isin(data.delta1, (0.0, 1.0)) | ~np.isin(data.delta2, (0.0, 1.0))
     for i in np.flatnonzero(nonpos):
         report.append((int(i), RULE_NONPOSITIVE))
+    for i in np.flatnonzero(off_domain):
+        report.append((int(i), RULE_INDICATOR_DOMAIN))
+    for i in np.flatnonzero(~np.all(np.isfinite(data.x), axis=1)):
+        report.append((int(i), RULE_NONFINITE_COVARIATE))
     for i in np.flatnonzero(wedge & ~nonpos):
         report.append((int(i), RULE_WEDGE))
     for i in np.flatnonzero(indicator & ~nonpos):

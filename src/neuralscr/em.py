@@ -23,15 +23,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import _kernels
-from .core import Dataset, ModelState, StepHazard, ZeroRisk, LinearRisk
-from .frailty import FrailtyPosterior, posterior
-from .likelihood import evaluate_terms, observed_log_likelihood
+from .core import Dataset, LinearRisk, ModelState, NonFiniteLikelihoodError, StepHazard, ZeroRisk
+from .frailty import FrailtyPosterior, e_step, posterior  # noqa: F401 (posterior re-exported)
+from .likelihood import SubjectTerms, evaluate_terms, event_log_terms, marginal_log_likelihood
 
 LOG_THETA_BOUNDS = (math.log(1e-4), math.log(100.0))
 
-
-class NonFiniteQError(FloatingPointError):
-    """A required jump size is zero at an observed event time."""
+# Q's event terms go through the likelihood's one zero-jump check
+NonFiniteQError = NonFiniteLikelihoodError
 
 
 class EmptyRiskSetError(ZeroDivisionError):
@@ -50,6 +49,8 @@ class EMConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.n_step_epochs_per_iteration < 1:
+            raise ValueError("n_step_epochs_per_iteration must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class QValue:
         return self.q1 + self.q2 + self.q3 + self.q4
 
 
-def q_function(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState) -> QValue:
+def expected_log_likelihood(dataset: Dataset, terms: SubjectTerms,
+                            posteriors: FrailtyPosterior, theta: float) -> QValue:
     """Expected complete-data log likelihood, split into its four pieces.
 
     Event terms carry E[log gamma], survival terms E[gamma]; Q4 collects
@@ -72,35 +74,21 @@ def q_function(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState
     """
     if len(posteriors) != dataset.n:
         raise ValueError("posteriors are not aligned with the dataset")
-    terms = evaluate_terms(dataset, state)
     egam = posteriors.mean
     elog = posteriors.log_mean
-
-    def event_part(ev, haz, g):
-        mask = ev > 0
-        if not np.any(mask):
-            return 0.0
-        if np.any(haz[mask] <= 0):
-            raise NonFiniteQError(
-                f"zero jump size at an observed transition-{g + 1} event time"
-            )
-        return float(np.sum(ev[mask] * (np.log(haz[mask]) + terms.h[mask, g])))
-
-    q1 = (
-        float(np.sum(dataset.delta1 * elog))
-        + event_part(terms.ev1, terms.haz1, 0)
-        - float(np.sum(egam * terms.lam1 * terms.eh[:, 0]))
-    )
-    q2 = (
-        float(np.sum(dataset.delta2 * elog))
-        + event_part(terms.ev2, terms.haz2, 1)
-        - float(np.sum(egam * terms.lam2 * terms.eh[:, 1]))
-    )
-    q3 = event_part(terms.ev3, terms.haz3, 2) - float(
-        np.sum(egam * terms.lam3 * terms.eh[:, 2])
-    )
-    q4 = q4_value(math.log(state.theta), egam, elog)
+    events = np.sum(event_log_terms(dataset.transitions.event, terms.haz, terms.h.T), axis=1)
+    survival = np.sum(egam * terms.lam * terms.eh.T, axis=1)
+    q1 = float(np.sum(dataset.delta1 * elog) + events[0] - survival[0])
+    q2 = float(np.sum(dataset.delta2 * elog) + events[1] - survival[1])
+    q3 = float(events[2] - survival[2])
+    q4 = q4_value(math.log(theta), egam, elog)
     return QValue(q1=q1, q2=q2, q3=q3, q4=q4)
+
+
+def q_function(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState) -> QValue:
+    """:func:`expected_log_likelihood` at the terms of `state`."""
+    return expected_log_likelihood(dataset, evaluate_terms(dataset, state), posteriors,
+                                   state.theta)
 
 
 def q4_value(log_theta: float, egam: np.ndarray, elog: np.ndarray) -> float:
@@ -121,60 +109,37 @@ def maximize_q4_theta(posteriors: FrailtyPosterior) -> float:
     return float(math.exp(res.x))
 
 
-def _transition_inputs(dataset: Dataset, egam: np.ndarray, h: np.ndarray):
-    """(event_times, at_risk_times, weights) triples for the three transitions.
-
-    Exposure to transitions 1 and 2 ends at the first event, so both risk
-    sets use y1 (a subject past the non-terminal event no longer feeds the
-    event-free hazards); the likelihood's survival terms Lambda01(y1),
-    Lambda02(y1) make this the exact Q maximizer.  Transition 3 runs on the
-    sojourn scale with only post-non-terminal subjects at risk.
-    """
-    soj = dataset.sojourn
-    ev2 = (1.0 - dataset.delta1) * dataset.delta2
-    ev3 = dataset.delta1 * dataset.delta2
-    in3 = dataset.delta1 == 1
-    return (
-        (dataset.y1[dataset.delta1 == 1], dataset.y1, egam * np.exp(h[:, 0])),
-        (dataset.y2[ev2 == 1], dataset.y1, egam * np.exp(h[:, 1])),
-        (soj[ev3 == 1], soj[in3], (egam * np.exp(h[:, 2]))[in3]),
-    )
-
-
-def m_step(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState):
+def breslow_baselines(dataset: Dataset, weights: np.ndarray):
     """Closed-form jump updates for the three baselines.
 
-    For each observed transition-g event time t the new jump is the event
-    count at t over the frailty- and risk-weighted at-risk sum; ties share a
-    single jump.  Transition 3 runs on the sojourn scale with only subjects
-    past the non-terminal event at risk.
+    `weights` (n, 3) holds each subject's E[gamma] e^{h_g}.  For each observed
+    transition-g event time t the new jump is the event count at t over the
+    weighted sum of the transition's risk set at t (``Dataset.transitions``);
+    ties share a single jump.
     """
-    h = state.risk_values(dataset.x)
+    tr = dataset.transitions
     out = []
-    for ev_times, risk_times, weights in _transition_inputs(dataset, posteriors.mean, h):
+    for g in range(3):
+        ev_times = tr.event_time[g][tr.event[g] > 0]
         if len(ev_times) == 0:
             out.append(StepHazard.empty())
             continue
-        times, jumps = _kernels.breslow_jumps(ev_times, risk_times, weights)
+        risk = tr.at_risk[g]
+        times, jumps = _kernels.breslow_jumps(ev_times, tr.exposure[g][risk], weights[risk, g])
         if not np.all(np.isfinite(jumps)) or np.any(jumps <= 0):
             raise EmptyRiskSetError("empty weighted risk set at an event time")
         out.append(StepHazard(times, jumps))
     return tuple(out)
 
 
+def m_step(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState):
+    """:func:`breslow_baselines` with the risk values of `state`."""
+    return breslow_baselines(dataset, posteriors.mean[:, None] * evaluate_terms(dataset, state).eh)
+
+
 def nelson_aalen_seed(dataset: Dataset):
     """Unadjusted Nelson-Aalen estimates per transition (unit frailty, h = 0)."""
-    dummy = ModelState(
-        StepHazard.empty(), StepHazard.empty(), StepHazard.empty(),
-        theta=1.0, risk_model=ZeroRisk(),
-    )
-    ones = FrailtyPosterior(
-        a_tilde=np.ones(dataset.n),
-        b_tilde=np.ones(dataset.n),
-        mean=np.ones(dataset.n),
-        log_mean=np.zeros(dataset.n),
-    )
-    return m_step(dataset, ones, dummy)
+    return breslow_baselines(dataset, np.ones((dataset.n, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +161,7 @@ class FixedRiskSpec:
     def initial_risk_model(self, dataset: Dataset, rng):
         return self.risk_model
 
-    def update(self, dataset, posteriors, state, config, iteration):
+    def update(self, dataset, terms, posteriors, state, config, iteration):
         theta = maximize_q4_theta(posteriors) if self.update_theta else state.theta
         return self.risk_model, theta
 
@@ -219,12 +184,11 @@ class LinearRiskSpec:
     def initial_risk_model(self, dataset: Dataset, rng):
         return LinearRisk(np.zeros((3, dataset.p)))
 
-    def update(self, dataset, posteriors, state, config, iteration):
+    def update(self, dataset, terms, posteriors, state, config, iteration):
         x = dataset.x
         beta = np.array(state.risk_model.beta, dtype=float)
-        terms = evaluate_terms(dataset, state)
-        lam = (terms.lam1, terms.lam2, terms.lam3)
-        evs = (terms.ev1, terms.ev2, terms.ev3)
+        lam = terms.lam
+        evs = dataset.transitions.event
 
         def q_part(g, b):
             # beta-dependent piece of Q_g (concave in b)
@@ -295,15 +259,20 @@ def run_em(
     prev_ll = None
     converged = False
     iteration = 0
+    # the baselines change only in the M-step and h only in the N-step, so
+    # each is looked up once per iteration and every step reads these terms
+    terms = evaluate_terms(dataset, state)
     for iteration in range(1, config.max_iterations + 1):
-        post = posterior(dataset, state)
-        b1, b2, b3 = m_step(dataset, post, state)
+        post = e_step(dataset, terms, state.theta)
+        b1, b2, b3 = breslow_baselines(dataset, post.mean[:, None] * terms.eh)
         state = replace(state, lambda01=b1, lambda02=b2, lambda03=b3)
-        risk_model, theta = risk_spec.update(dataset, post, state, config, iteration)
+        terms = terms.with_baselines(dataset, state)
+        risk_model, theta = risk_spec.update(dataset, terms, post, state, config, iteration)
         state = replace(state, risk_model=risk_model, theta=theta)
+        terms = terms.with_risk(dataset, state)
 
-        ll = observed_log_likelihood(dataset, state)
-        qv = q_function(dataset, post, state)
+        ll = marginal_log_likelihood(dataset, terms, state.theta)
+        qv = expected_log_likelihood(dataset, terms, post, state.theta)
         trace.append(
             {
                 "iter": iteration,

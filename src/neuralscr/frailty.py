@@ -12,13 +12,12 @@ so E[gamma | D] = a~/b~ and E[log gamma | D] = digamma(a~) - log(b~).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import psi
 
-from .core import Dataset, ModelState, ObservedRecord
-from .likelihood import evaluate_terms
+from .core import Dataset, ModelState
+from .likelihood import SubjectTerms, evaluate_terms
 
 
 def digamma(x):
@@ -34,7 +33,7 @@ def digamma(x):
 class FrailtyPosterior:
     """Posterior Gamma parameters and the two moments the Q function needs.
 
-    Arrays run over subjects (length 1 for a single record).
+    Arrays run over subjects.
     """
 
     a_tilde: np.ndarray
@@ -46,16 +45,10 @@ class FrailtyPosterior:
         return len(self.a_tilde)
 
 
-def posterior(data: Union[Dataset, ObservedRecord], state: ModelState) -> FrailtyPosterior:
-    """E-step moments for every subject in `data`."""
-    if isinstance(data, ObservedRecord):
-        data = Dataset.from_records([data])
-    theta = state.theta
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+def e_step(dataset: Dataset, terms: SubjectTerms, theta: float) -> FrailtyPosterior:
+    """E-step moments for every subject, from the terms of the current fit."""
     inv_t = 1.0 / theta
-    terms = evaluate_terms(data, state)
-    a_tilde = inv_t + data.delta1 + data.delta2
+    a_tilde = inv_t + dataset.delta1 + dataset.delta2
     b_tilde = inv_t + terms.b_tilde_sum
     return FrailtyPosterior(
         a_tilde=a_tilde,
@@ -63,3 +56,8 @@ def posterior(data: Union[Dataset, ObservedRecord], state: ModelState) -> Frailt
         mean=a_tilde / b_tilde,
         log_mean=psi(a_tilde) - np.log(b_tilde),
     )
+
+
+def posterior(dataset: Dataset, state: ModelState) -> FrailtyPosterior:
+    """:func:`e_step` at the terms of `state`."""
+    return e_step(dataset, evaluate_terms(dataset, state), state.theta)

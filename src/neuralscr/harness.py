@@ -182,15 +182,10 @@ class BootstrapBaselines:
 
 
 def _baseline_grids(dataset: Dataset, grid_points: int) -> np.ndarray:
-    ev2 = (1.0 - dataset.delta1) * dataset.delta2
-    ev3 = dataset.delta1 * dataset.delta2
-    soj = dataset.sojourn
+    tr = dataset.transitions
     tops = []
-    for times in (
-        dataset.y1[dataset.delta1 == 1],
-        dataset.y2[ev2 == 1],
-        soj[ev3 == 1],
-    ):
+    for times, ev in zip(tr.event_time, tr.event):
+        times = times[ev > 0]
         tops.append(float(times.max()) if len(times) else float(dataset.y2.max()))
     return np.vstack([np.linspace(0.0, top, grid_points) for top in tops])
 

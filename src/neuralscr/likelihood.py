@@ -12,7 +12,7 @@ for Weibull baselines it is the density-form hazard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -27,74 +27,70 @@ from .core import (
 THETA_FRAILTY_FREE = 1e-12  # below this, use the theta -> 0 limit formulas
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubjectTerms:
     """Per-subject model evaluations shared by the E/M/N machinery.
 
-    lam1, lam2: Lambda01(y1), Lambda02(y1) -- transition-2 exposure ends at
-    the first event, so both use y1.  lam3 = delta1 * Lambda03(y2 - y1) on
-    the sojourn scale.  haz* are event-term weights at the event times.
+    h, eh: (n, 3) log-risks and exp(h), one evaluation of the risk model.
+    lam, haz: (3, n) baseline lookups at the data -- lam[g] is Lambda_0g at
+    transition g+1's exposure time, zero off its risk set, and haz[g] the
+    event-term weight at its event time (see ``Dataset.transitions``).  An EM
+    iteration refreshes the two halves apart: the baselines after the
+    M-step, the risk values after the N-step.
     """
 
-    h: np.ndarray          # (n, 3)
-    eh: np.ndarray         # (n, 3) exp(h)
-    lam1: np.ndarray
-    lam2: np.ndarray
-    lam3: np.ndarray
-    haz1: np.ndarray
-    haz2: np.ndarray
-    haz3: np.ndarray
-    ev1: np.ndarray        # delta1
-    ev2: np.ndarray        # (1 - delta1) * delta2
-    ev3: np.ndarray        # delta1 * delta2
+    h: np.ndarray
+    eh: np.ndarray
+    lam: np.ndarray
+    haz: np.ndarray
 
     @property
     def b_tilde_sum(self) -> np.ndarray:
         """Lambda01 e^h1 + Lambda02 e^h2 + delta1 Lambda03 e^h3."""
-        return (
-            self.lam1 * self.eh[:, 0]
-            + self.lam2 * self.eh[:, 1]
-            + self.lam3 * self.eh[:, 2]
-        )
+        lam, eh = self.lam, self.eh
+        return lam[0] * eh[:, 0] + lam[1] * eh[:, 1] + lam[2] * eh[:, 2]
+
+    def with_baselines(self, dataset: Dataset, state: ModelState) -> "SubjectTerms":
+        """These terms with the baselines of `state` looked up at the data."""
+        return replace(self, **_baseline_lookups(dataset, state))
+
+    def with_risk(self, dataset: Dataset, state: ModelState) -> "SubjectTerms":
+        """These terms with the risk model of `state` evaluated at the data."""
+        return replace(self, **_risk_values(dataset, state))
+
+
+def _baseline_lookups(dataset: Dataset, state: ModelState) -> dict:
+    tr = dataset.transitions
+    cumulative = np.array([b.cumulative(t) for b, t in zip(state.baselines, tr.exposure)])
+    jumps = np.array([b.hazard_at(t) for b, t in zip(state.baselines, tr.event_time)])
+    return {"lam": cumulative * tr.at_risk, "haz": jumps}
+
+
+def _risk_values(dataset: Dataset, state: ModelState) -> dict:
+    h = state.risk_values(dataset.x)
+    return {"h": h, "eh": np.exp(h)}
 
 
 def evaluate_terms(dataset: Dataset, state: ModelState) -> SubjectTerms:
-    h = state.risk_values(dataset.x)
-    soj = dataset.sojourn
-    d1 = dataset.delta1
-    d2 = dataset.delta2
-    return SubjectTerms(
-        h=h,
-        eh=np.exp(h),
-        lam1=state.lambda01.cumulative(dataset.y1),
-        lam2=state.lambda02.cumulative(dataset.y1),
-        lam3=d1 * state.lambda03.cumulative(soj),
-        haz1=state.lambda01.hazard_at(dataset.y1),
-        haz2=state.lambda02.hazard_at(dataset.y2),
-        haz3=state.lambda03.hazard_at(soj),
-        ev1=d1,
-        ev2=(1.0 - d1) * d2,
-        ev3=d1 * d2,
-    )
+    return SubjectTerms(**_risk_values(dataset, state), **_baseline_lookups(dataset, state))
 
 
-def _event_log_terms(terms: SubjectTerms) -> np.ndarray:
-    """Sum over transitions of ev_g * log(lambda_0g(Y) e^{h_g}).
+def event_log_terms(ev: np.ndarray, haz: np.ndarray, h) -> np.ndarray:
+    """ev_g * (log lambda_0g(Y) + h_g) per transition and subject, (3, n);
+    zero where the subject makes no transition-g event.  `h` is (3, n), or
+    0.0 for the h-free part.
 
-    Raises when an event sits where the baseline carries no mass.
+    This is the one zero-jump check: raises when an event sits where the
+    baseline carries no mass.
     """
-    out = np.zeros_like(terms.ev1)
-    for ev, haz, g in ((terms.ev1, terms.haz1, 0), (terms.ev2, terms.haz2, 1),
-                       (terms.ev3, terms.haz3, 2)):
-        mask = ev > 0
-        if not np.any(mask):
-            continue
-        if np.any(haz[mask] <= 0):
-            raise NonFiniteLikelihoodError(
-                f"zero baseline hazard at an observed transition-{g + 1} event time"
-            )
-        out[mask] += ev[mask] * (np.log(haz[mask]) + terms.h[mask, g])
-    return out
+    on = ev > 0
+    bad = np.any(on & (haz <= 0), axis=1)
+    if np.any(bad):
+        raise NonFiniteLikelihoodError(
+            f"zero baseline hazard at an observed transition-{int(np.argmax(bad)) + 1} event time"
+        )
+    log_haz = np.log(haz, out=np.zeros_like(haz), where=on)
+    return np.where(on, ev * (log_haz + h), 0.0)
 
 
 def complete_data_log_likelihood(dataset: Dataset, gamma, state: ModelState) -> float:
@@ -114,7 +110,7 @@ def complete_data_log_likelihood(dataset: Dataset, gamma, state: ModelState) -> 
     ll = (
         log_gamma_prior
         + (dataset.delta1 + dataset.delta2) * np.log(gamma)
-        + _event_log_terms(terms)
+        + np.sum(event_log_terms(dataset.transitions.event, terms.haz, terms.h.T), axis=0)
         - gamma * terms.b_tilde_sum
     )
     return float(np.sum(ll))
@@ -181,17 +177,13 @@ def case_log_likelihood(record: ObservedRecord, gamma: float, state: ModelState)
     return log_prior + log_s_first
 
 
-def observed_log_likelihood(dataset: Dataset, state: ModelState) -> float:
+def marginal_log_likelihood(dataset: Dataset, terms: SubjectTerms, theta: float) -> float:
     """Marginal (gamma integrated out) log likelihood of the observed data.
 
     Per subject: log Gamma(a~) - log Gamma(1/theta) - (1/theta) log theta
     - a~ log(b~) + event terms; a~, b~ are the posterior Gamma parameters.
     """
-    theta = state.theta
-    if theta <= 0:
-        raise ValueError("theta must be positive")
     inv_t = 1.0 / theta
-    terms = evaluate_terms(dataset, state)
     a_tilde = inv_t + dataset.delta1 + dataset.delta2
     b_tilde = inv_t + terms.b_tilde_sum
     ll = (
@@ -199,9 +191,14 @@ def observed_log_likelihood(dataset: Dataset, state: ModelState) -> float:
         - math.lgamma(inv_t)
         - inv_t * math.log(theta)
         - a_tilde * np.log(b_tilde)
-        + _event_log_terms(terms)
+        + np.sum(event_log_terms(dataset.transitions.event, terms.haz, terms.h.T), axis=0)
     )
     return float(np.sum(ll))
+
+
+def observed_log_likelihood(dataset: Dataset, state: ModelState) -> float:
+    """:func:`marginal_log_likelihood` at the terms of `state`."""
+    return marginal_log_likelihood(dataset, evaluate_terms(dataset, state), state.theta)
 
 
 def joint_event_free_survival(covariates, t, state: ModelState):

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _kernels
 from .core import Dataset, ModelState
-from .em import EMConfig, NonFiniteQError, q_function
+from .em import EMConfig, q_function
 from .frailty import FrailtyPosterior
-from .likelihood import evaluate_terms
+from .likelihood import SubjectTerms, evaluate_terms, event_log_terms
 
 
 class DivergedLossWarning(UserWarning):
@@ -40,10 +40,8 @@ class TrainConfig:
     dropout_fraction: float = 0.1
     l2_rate: float = 1e-4
     epochs: int = 10
-    full_batch: bool = True
     hidden_layers: int = 2
     nodes: int = 32
-    grid: tuple = ()
     seed: int = 0
     # the scalar log-variance moves on a gentler landscape than the weights
     xi_learning_rate: float = 0.05
@@ -53,8 +51,8 @@ class TrainConfig:
             raise ValueError("dropout_fraction must be in [0, 1)")
         if self.l2_rate < 0:
             raise ValueError("l2_rate must be nonnegative")
-        if not self.full_batch:
-            raise ValueError("only full-batch training is supported")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.hidden_layers < 1 or self.nodes < 1:
             raise ValueError("need at least one hidden layer and one node")
 
@@ -170,22 +168,12 @@ class NeuralRisk:
         return np.column_stack(cols)
 
 
-def _loss_inputs(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState):
+def _loss_inputs(dataset: Dataset, terms: SubjectTerms, posteriors: FrailtyPosterior):
     """Frozen arrays feeding the training kernels, plus the h/xi-free constant."""
-    terms = evaluate_terms(dataset, state)
-    ev = np.vstack([terms.ev1, terms.ev2, terms.ev3])
-    lam = np.vstack([terms.lam1, terms.lam2, terms.lam3])
+    ev = dataset.transitions.event
     const = float(np.sum((dataset.delta1 + dataset.delta2) * posteriors.log_mean))
-    for g, haz in enumerate((terms.haz1, terms.haz2, terms.haz3)):
-        mask = ev[g] > 0
-        if not np.any(mask):
-            continue
-        if np.any(haz[mask] <= 0):
-            raise NonFiniteQError(
-                f"zero jump size at an observed transition-{g + 1} event time"
-            )
-        const += float(np.sum(ev[g][mask] * np.log(haz[mask])))
-    return dataset.x, ev, lam, const
+    const += float(np.sum(event_log_terms(ev, terms.haz, 0.0)))
+    return dataset.x, ev, terms.lam, const
 
 
 def loss(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState,
@@ -215,6 +203,7 @@ class TrainStepInfo:
 
 def train_step(
     dataset: Dataset,
+    terms: SubjectTerms,
     posteriors: FrailtyPosterior,
     state: ModelState,
     config: TrainConfig,
@@ -224,13 +213,14 @@ def train_step(
 ):
     """Full-batch adaptive-moment training of the sub-networks and xi.
 
-    Posteriors and baselines stay frozen; returns the parameters with the
-    lowest recorded deterministic loss, the new theta, and a trace.
+    Posteriors and baselines stay frozen, and `terms` holds the baselines of
+    `state` at the data; returns the parameters with the lowest recorded
+    deterministic loss, the new theta, and a trace.
     """
     risk = state.risk_model
     if not isinstance(risk, NeuralRisk):
         raise TypeError("train_step requires a NeuralRisk model")
-    x, ev, lam, const = _loss_inputs(dataset, posteriors, state)
+    x, ev, lam, const = _loss_inputs(dataset, terms, posteriors)
     n_epochs = config.epochs if epochs is None else epochs
     kernel_seed = config.seed if seed is None else seed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -261,7 +251,7 @@ def train_step(
 def loss_gradients(dataset, posteriors, state, config: TrainConfig, train_xi: bool = True):
     """Analytic (loss, dW, dB, dxi) without dropout, for gradient checks."""
     risk = state.risk_model
-    x, ev, lam, const = _loss_inputs(dataset, posteriors, state)
+    x, ev, lam, const = _loss_inputs(dataset, evaluate_terms(dataset, state), posteriors)
     value, dW, dB, dxi = _kernels.loss_and_grads(
         risk.W, risk.B, risk.dims, x, ev, lam,
         posteriors.mean, posteriors.log_mean, const,
@@ -291,9 +281,9 @@ class NeuralRiskSpec:
         ]
         return NeuralRisk(nets)
 
-    def update(self, dataset, posteriors, state, config: EMConfig, iteration: int):
+    def update(self, dataset, terms, posteriors, state, config: EMConfig, iteration: int):
         new_risk, xi, _ = train_step(
-            dataset, posteriors, state, self.train,
+            dataset, terms, posteriors, state, self.train,
             epochs=config.n_step_epochs_per_iteration,
             seed=derive_seed(config.seed, self.train.seed, iteration),
         )

@@ -70,14 +70,9 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset):
     theta = math.exp(log_theta)
     inv_t = 1.0 / theta
 
-    y1, y2 = dataset.y1, dataset.y2
     d1, d2 = dataset.delta1, dataset.delta2
-    soj = dataset.sojourn
-    ev = (d1, (1.0 - d1) * d2, d1 * d2)
-    # exposure and event-time per transition; transition-2 exposure ends at y1
-    exposure_t = (y1, y1, soj)
-    event_t = (y1, y2, soj)
-    exposure_on = (np.ones_like(y1), np.ones_like(y1), d1)
+    tr = dataset.transitions
+    ev, event_t = tr.event, tr.event_time
 
     h = dataset.x @ beta.T if p else np.zeros((dataset.n, 3))
     eh = np.exp(h)
@@ -85,10 +80,10 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset):
     lam = []
     log_exp_t = []
     for g in range(3):
-        tg = exposure_t[g]
-        on = exposure_on[g] * (tg > 0)
+        tg = tr.exposure[g]
+        on = tr.at_risk[g] & (tg > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lt = np.where(on > 0, np.log(np.maximum(tg, 1e-300)), 0.0)
+            lt = np.where(on, np.log(np.maximum(tg, 1e-300)), 0.0)
         lam.append(on * phi[g, 0] * np.exp(phi[g, 1] * lt))
         log_exp_t.append(lt)
     lam = np.array(lam)            # (3, n)
@@ -142,10 +137,9 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset):
 
 def _initial_params(dataset: Dataset) -> np.ndarray:
     """Per-transition exponential fits for phi, zero coefficients, theta = 1."""
-    d1, d2 = dataset.delta1, dataset.delta2
-    soj = dataset.sojourn
-    events = (np.sum(d1), np.sum((1.0 - d1) * d2), np.sum(d1 * d2))
-    exposure = (np.sum(dataset.y1), np.sum(dataset.y1), np.sum(soj[d1 == 1]))
+    tr = dataset.transitions
+    events = tr.event.sum(axis=1)
+    exposure = [np.sum(t[on]) for t, on in zip(tr.exposure, tr.at_risk)]
     log_phi = np.zeros((3, 2))
     for g in range(3):
         rate = events[g] / exposure[g] if events[g] > 0 and exposure[g] > 0 else 1e-4

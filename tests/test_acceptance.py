@@ -17,7 +17,11 @@ from neuralscr.core import ZeroRisk
 from neuralscr.em import EMConfig, FixedRiskSpec, m_step, run_em
 from neuralscr.frailty import posterior
 from neuralscr.harness import cv, fit_model, replicate_study
-from neuralscr.likelihood import complete_data_log_likelihood, observed_log_likelihood
+from neuralscr.likelihood import (
+    complete_data_log_likelihood,
+    evaluate_terms,
+    observed_log_likelihood,
+)
 from neuralscr.metrics import ExponentialCensoring, bbs
 from neuralscr.neural import TrainConfig, loss_gradients
 from neuralscr.simulate import SimConfig, risk_values, simulate, true_survival
@@ -201,7 +205,7 @@ class TestCriterion5PropertySuite:
             from neuralscr.neural import _loss_inputs
 
             risk = state.risk_model
-            x, ev, lam, const = _loss_inputs(ds, post, state)
+            x, ev, lam, const = _loss_inputs(ds, evaluate_terms(ds, state), post)
             xi = math.log(state.theta)
 
             def f(W, B, xi_):

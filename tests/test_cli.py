@@ -112,6 +112,12 @@ class TestExitCodes:
         assert main(["fit", "--data", str(bad), "--model", "parametric",
                      "--out", str(model)]) == 2
 
+    def test_indicator_outside_zero_one_is_2(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y1,delta1,y2,delta2,x1\n1.0,2,1.5,1,0.5\n2.0,0,2.0,0,0.1\n")
+        assert main(["fit", "--data", str(bad), "--model", "linear",
+                     "--out", str(tmp_path / "m.json")]) == 2
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "d.csv")]) == 2
 
@@ -134,6 +140,8 @@ class TestExitCodes:
         ("--em-tolerance", "0", 2),
         ("--nodes", "0", 2),
         ("--layers", "0", 2),
+        ("--epochs", "0", 2),
+        ("--epochs", "-1", 2),
         ("--dropout", "0", 0),
     ])
     def test_explicit_zero_is_not_the_default(self, data_csv, tmp_path, flag, value, code):

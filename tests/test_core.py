@@ -64,6 +64,34 @@ class TestValidation:
         report = validation_report(records)
         assert report == [(1, "WedgeViolation"), (2, "IndicatorInconsistency")]
 
+    @pytest.mark.parametrize("record, rule", [
+        (rec(1.0, 2, 2.0, 1), "IndicatorOutsideZeroOne"),
+        (rec(2.0, 0, 2.0, 0.5), "IndicatorOutsideZeroOne"),
+        (rec(1.0, -1, 2.0, 0), "IndicatorOutsideZeroOne"),
+        (rec(2.0, 0, 2.0, float("nan")), "IndicatorOutsideZeroOne"),
+        (rec(1.0, 1, 2.0, 1, x=(float("nan"),)), "NonFiniteCovariate"),
+        (rec(1.0, 1, 2.0, 1, x=(0.3, float("inf"))), "NonFiniteCovariate"),
+    ])
+    def test_rejects_what_the_model_cannot_fit(self, record, rule):
+        report = validation_report([rec(1.0, 1, 2.0, 1, x=(0.1,) * len(record.covariates)),
+                                    record])
+        assert (1, rule) in report and all(i == 1 for i, _ in report)
+        with pytest.raises(DatasetValidationError):
+            validate_dataset([record])
+
+    def test_transitions_view(self):
+        ds = validate_dataset([rec(1.0, 1, 3.0, 1), rec(2.0, 0, 2.0, 1), rec(1.5, 1, 2.0, 0)])
+        tr = ds.transitions
+        np.testing.assert_array_equal(tr.event, [[1, 0, 1], [0, 1, 0], [1, 0, 0]])
+        np.testing.assert_array_equal(tr.event_time, [[1.0, 2.0, 1.5], [3.0, 2.0, 2.0],
+                                                      [2.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(tr.exposure, [[1.0, 2.0, 1.5], [1.0, 2.0, 1.5],
+                                                    [2.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(tr.at_risk, [[1, 1, 1], [1, 1, 1], [1, 0, 1]])
+        assert ds.transitions is tr
+        with pytest.raises(ValueError):
+            tr.event[0, 0] = 0.0
+
     def test_dataset_roundtrip(self):
         records = [rec(1.0, 1, 2.0, 1), rec(2.0, 0, 2.0, 0)]
         ds = validate_dataset(records)

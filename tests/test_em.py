@@ -264,6 +264,34 @@ class TestRunEM:
             sum(res.trace[-1][k] for k in ("q1", "q2", "q3", "q4"))
         )
 
+    def test_one_baseline_lookup_and_one_risk_evaluation_per_iteration(self, monkeypatch):
+        from neuralscr.core import LinearRisk
+
+        calls = {"cumulative": 0, "hazard_at": 0, "values": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(StepHazard, "cumulative")
+        counted(StepHazard, "hazard_at")
+        counted(LinearRisk, "values")
+        ds = random_dataset(np.random.default_rng(8), n=60, p=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_em(ds, LinearRiskSpec(theta_init=0.8),
+                         EMConfig(max_iterations=4, tolerance=1e-300, seed=0))
+        k = res.n_iterations
+        assert k == 4
+        # per iteration: the three baselines at the data once after the M-step
+        # and h once after the N-step; the seeding evaluation adds one of each
+        assert calls == {"cumulative": 3 * k + 3, "hazard_at": 3 * k + 3, "values": k + 1}
+
     def test_theta_recovery_linear_em(self):
         # desk-scale replication: simulated linear data, theta 0.5,
         # no censoring; fitted theta lands in [0.35, 0.65]

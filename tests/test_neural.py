@@ -8,6 +8,7 @@ from neuralscr import _kernels
 from neuralscr.core import Dataset, ModelState, StepHazard, ZeroRisk
 from neuralscr.em import EMConfig, nelson_aalen_seed, q_function, run_em
 from neuralscr.frailty import posterior
+from neuralscr.likelihood import evaluate_terms
 from neuralscr.neural import (
     NeuralRisk,
     NeuralRiskSpec,
@@ -63,7 +64,7 @@ def kernel_inputs(seed, n):
     ds = random_dataset(rng, n=n)
     state = neural_state(rng, ds)
     post = posterior(ds, state)
-    x, ev, lam, const = _loss_inputs(ds, post, state)
+    x, ev, lam, const = _loss_inputs(ds, evaluate_terms(ds, state), post)
     risk = state.risk_model
     return (risk.W, risk.B, risk.dims, x, ev, lam, post.mean, post.log_mean, const,
             math.log(state.theta))
@@ -258,7 +259,7 @@ class TestGradients:
         cfg = TrainConfig(l2_rate=1e-3, dropout_fraction=0.0)
         _, dW, dB, dxi = loss_gradients(ds, post, state, cfg)
         risk = state.risk_model
-        x, ev, lam, const = _loss_inputs(ds, post, state)
+        x, ev, lam, const = _loss_inputs(ds, evaluate_terms(ds, state), post)
         xi = math.log(state.theta)
 
         def f(W, B, xi_):
@@ -301,7 +302,7 @@ class TestTrainStep:
     def test_zero_learning_rate_keeps_parameters(self):
         ds, state, post = self.make_problem()
         cfg = TrainConfig(learning_rate=0.0, xi_learning_rate=0.0, dropout_fraction=0.1, epochs=5)
-        new_risk, xi, info = train_step(ds, post, state, cfg, seed=3)
+        new_risk, xi, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=3)
         np.testing.assert_array_equal(new_risk.W, state.risk_model.W)
         np.testing.assert_array_equal(new_risk.B, state.risk_model.B)
         assert xi == math.log(state.theta)
@@ -309,7 +310,7 @@ class TestTrainStep:
     def test_output_bias_stays_zero(self):
         ds, state, post = self.make_problem()
         cfg = TrainConfig(learning_rate=1e-2, dropout_fraction=0.2, epochs=40)
-        new_risk, _, _ = train_step(ds, post, state, cfg, seed=5)
+        new_risk, _, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=5)
         last = len(new_risk.dims) - 2
         np.testing.assert_array_equal(new_risk.B[:, last, :], 0.0)
         for net in new_risk.networks:
@@ -318,7 +319,7 @@ class TestTrainStep:
     def test_returns_best_loss_parameters(self):
         ds, state, post = self.make_problem()
         cfg = TrainConfig(learning_rate=5e-3, dropout_fraction=0.0, epochs=30)
-        new_risk, xi, info = train_step(ds, post, state, cfg, seed=7)
+        new_risk, xi, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=7)
         final_state = ModelState(
             state.lambda01, state.lambda02, state.lambda03,
             theta=math.exp(xi), risk_model=new_risk,
@@ -330,8 +331,8 @@ class TestTrainStep:
     def test_training_is_seed_deterministic(self):
         ds, state, post = self.make_problem()
         cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.3, epochs=10)
-        a, xa, _ = train_step(ds, post, state, cfg, seed=11)
-        b, xb, _ = train_step(ds, post, state, cfg, seed=11)
+        a, xa, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=11)
+        b, xb, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=11)
         np.testing.assert_array_equal(a.W, b.W)
         assert xa == xb
 
@@ -341,7 +342,7 @@ class TestTrainStep:
         for seed in range(10):
             ds, state, post = self.make_problem(seed=100 + seed, n=80)
             cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.0, epochs=5)
-            _, _, info = train_step(ds, post, state, cfg, seed=seed)
+            _, _, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=seed)
             if info.loss_trace[-1] < info.loss_trace[0]:
                 wins += 1
         assert wins >= 9
