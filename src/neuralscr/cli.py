@@ -153,12 +153,7 @@ def _cmd_evaluate(args) -> int:
     keep = times <= horizon + 1e-12
     times, preds = times[keep], preds[:, keep]
     g_hat = reverse_km(dataset)
-
-    def predict(t):
-        j = int(np.argmin(np.abs(times - t)))
-        return preds[:, j]
-
-    curve = integrated_bbs(dataset, predict, g_hat, horizon, grid=times)
+    curve = integrated_bbs(dataset, lambda grid: preds[:, :len(grid)], g_hat, horizon, grid=times)
     write_bbs_csv(curve, args.out)
     if args.summary:
         write_bbs_summary(curve, len(times), args.summary)

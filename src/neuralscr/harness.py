@@ -155,7 +155,7 @@ def cv(
         )
         g_hat = reverse_km(train)
         curve = integrated_bbs(
-            test, lambda t: fitted.predict(test.x, t), g_hat, horizon, n_points,
+            test, lambda grid: fitted.predict(test.x, grid), g_hat, horizon, n_points,
         )
         scores.append(curve.integrated)
 
@@ -308,8 +308,8 @@ def _bbs_validation(replicates, seed, n, settings, horizon) -> list[dict]:
                 known_g = CensoringCurve(times=np.empty(0), survival=np.empty(0))
             est_g = reverse_km(dataset)
 
-            def predict(t):
-                return true_survival(config, dataset.x, t, marginal=True)
+            def predict(grid):
+                return true_survival(config, dataset.x, grid, marginal=True)
 
             true_vals[r] = integrated_bbs(dataset, predict, known_g, horizon).integrated
             calc_vals[r] = integrated_bbs(dataset, predict, est_g, horizon).integrated
@@ -362,14 +362,14 @@ def _neural_em_validation(
                     ibbs["truth"].append(
                         integrated_bbs(
                             dataset,
-                            lambda t: true_survival(config, dataset.x, t),
+                            lambda grid: true_survival(config, dataset.x, grid),
                             g_hat, horizon,
                         ).integrated
                     )
                     for label, fitted in (("parametric", par), ("neural", nn)):
                         ibbs[label].append(
                             integrated_bbs(
-                                dataset, lambda t: fitted.predict(dataset.x, t),
+                                dataset, lambda grid: fitted.predict(dataset.x, grid),
                                 g_hat, horizon,
                             ).integrated
                         )

@@ -78,34 +78,48 @@ def reverse_km(dataset: Dataset) -> CensoringCurve:
     return CensoringCurve(times=uniq[keep], survival=np.cumprod(factors))
 
 
-def bbs(dataset: Dataset, predictions, censoring: CensoringCurve, t: float) -> float:
-    """Bivariate Brier score at time t, averaged over subjects.
+def bbs(dataset: Dataset, predictions, censoring: CensoringCurve, t):
+    """Bivariate Brier score averaged over subjects, at one time or a grid.
 
-    `predictions` holds pi_i(t) per subject.  Raises ZeroWeightError if G is
-    zero at a point where a subject needs a weight.
+    A scalar `t` with the (n,) vector of pi_i(t) gives a float; an
+    increasing 1-D grid with the (n, len(grid)) matrix gives the curve.
+    Raises ZeroWeightError, naming the first such time, if G is zero at a
+    point where a subject needs a weight.
     """
+    grid = np.atleast_1d(np.asarray(t, dtype=float))
     pi = np.asarray(predictions, dtype=float)
-    if pi.shape != (dataset.n,):
-        raise ValueError("predictions must hold one value per subject")
+    if pi.shape != (dataset.n,) + np.shape(t):
+        raise ValueError("predictions must hold one value per subject and time")
+    pi = pi.reshape(dataset.n, len(grid)).T
     y1, d1 = dataset.y1, dataset.delta1
     y2, d2 = dataset.y2, dataset.delta2
+    col = grid[:, None]
 
-    region1 = (y1 <= t) & (d1 == 1) & (y1 <= y2)
-    region2 = (y1 <= t) & (y2 <= t) & (d1 == 0) & (d2 == 1) & (y1 <= y2)
-    region3 = (y1 > t) & (y2 > t)
+    region1 = (y1 <= col) & ((d1 == 1) & (y1 <= y2))
+    region2 = (y1 <= col) & (y2 <= col) & ((d1 == 0) & (d2 == 1) & (y1 <= y2))
+    region3 = (y1 > col) & (y2 > col)
 
     g1 = censoring.evaluate(y1, left=True)
     g2 = censoring.evaluate(y2, left=True)
-    gt = censoring.evaluate(t)
+    gt = censoring.evaluate(grid)
 
-    if np.any(g1[region1] <= 0) or np.any(g2[region2] <= 0) or (np.any(region3) and gt <= 0):
-        raise ZeroWeightError(f"censoring curve is zero at a weight point for t={t}")
+    bad = ((region1 & (g1 <= 0)).any(axis=1) | (region2 & (g2 <= 0)).any(axis=1)
+           | (region3.any(axis=1) & (gt <= 0)))
+    if np.any(bad):
+        raise ZeroWeightError(
+            f"censoring curve is zero at a weight point for t={grid[np.argmax(bad)]}"
+        )
 
-    total = np.zeros(dataset.n)
-    total[region1] = pi[region1] ** 2 / g1[region1]
-    total[region2] += pi[region2] ** 2 / g2[region2]
-    total[region3] += (1.0 - pi[region3]) ** 2 / gt
-    return float(np.mean(total))
+    # (T, n) in C order: each row sums in the order of a 1-D mean over subjects
+    loss = np.zeros((len(grid), dataset.n))
+    np.square(pi, out=loss, where=region1 | region2)
+    np.divide(loss, g1, out=loss, where=region1)
+    np.divide(loss, g2, out=loss, where=region2)
+    np.subtract(1.0, pi, out=loss, where=region3)
+    np.square(loss, out=loss, where=region3)
+    np.divide(loss, gt[:, None], out=loss, where=region3)
+    values = loss.mean(axis=1)
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -127,9 +141,10 @@ def integrated_bbs(
 ) -> BBSCurve:
     """Trapezoidal time-average of the BBS over an even grid up to `horizon`.
 
-    `predict(t)` must return the (n,) vector of pi_i(t).  The default grid
-    starts at horizon / n_points to skip the degenerate all-ones point; an
-    explicit increasing `grid` overrides it.  If G hits zero inside the
+    `predict(grid)` is called once, on the final grid, and must return the
+    (n, len(grid)) matrix of pi_i(t), one column per grid time.  The default
+    grid starts at horizon / n_points to skip the degenerate all-ones point;
+    an explicit increasing `grid` overrides it.  If G hits zero inside the
     grid, the horizon is truncated to the last usable point with a warning.
     """
     if horizon <= 0:
@@ -151,7 +166,7 @@ def integrated_bbs(
             stacklevel=2,
         )
         grid = grid[: last + 1]
-    values = np.array([bbs(dataset, np.asarray(predict(t), dtype=float), censoring, t) for t in grid])
+    values = bbs(dataset, predict(grid), censoring, grid)
     if len(grid) == 1:
         integrated = float(values[0])
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from typing import Union
 
 import numpy as np
@@ -24,6 +25,32 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+# lines formatted per chunk, so the Python strings of a large file never
+# coexist in memory
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(fh, header, line, *columns) -> None:
+    """Write a csv-style header and one `line.format(...)` row per entry of
+    the equal-length 1-D columns; floats go through repr, as `_fmt` does."""
+    fh.write(",".join(header) + "\r\n")
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = (c[start:start + _CHUNK_ROWS].tolist() for c in columns)
+        fh.write("".join(map(line.format, *chunk)))
+
+
+def _read_rows(path, header, what) -> np.ndarray:
+    """Check the header of a numeric CSV and return its rows as an array."""
+    with open(path, newline="") as fh:
+        found = next(csv.reader(fh))
+        if found[: len(header)] != header:
+            raise ValueError(f"{what} CSV must start with columns {header}")
+        with warnings.catch_warnings():  # a header-only file is empty, not an error
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    return rows.reshape(-1, len(found))
+
+
 # ---------------------------------------------------------------------------
 # dataset CSV
 # ---------------------------------------------------------------------------
@@ -31,49 +58,25 @@ def _fmt(v) -> str:
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["y1", "delta1", "y2", "delta2"] + [f"x{j + 1}" for j in range(dataset.p)]
+        _write_rows(
+            fh, ["y1", "delta1", "y2", "delta2"] + [f"x{j + 1}" for j in range(dataset.p)],
+            "{!r},{},{!r},{}" + ",{!r}" * dataset.p + "\r\n",
+            dataset.y1, dataset.delta1.astype(int), dataset.y2, dataset.delta2.astype(int),
+            *dataset.x.T,
         )
-        for i in range(dataset.n):
-            writer.writerow(
-                [_fmt(dataset.y1[i]), int(dataset.delta1[i]),
-                 _fmt(dataset.y2[i]), int(dataset.delta2[i])]
-                + [_fmt(v) for v in dataset.x[i]]
-            )
 
 
 def read_dataset_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["y1", "delta1", "y2", "delta2"]
-        if header[:4] != expected:
-            raise ValueError(f"dataset CSV must start with columns {expected}")
-        p = len(header) - 4
-        rows = [row for row in reader if row]
-    n = len(rows)
-    y1 = np.empty(n)
-    d1 = np.empty(n)
-    y2 = np.empty(n)
-    d2 = np.empty(n)
-    x = np.empty((n, p))
-    for i, row in enumerate(rows):
-        y1[i], d1[i], y2[i], d2[i] = (float(v) for v in row[:4])
-        x[i] = [float(v) for v in row[4:]]
-    return Dataset(y1, d1, y2, d2, x)
+    rows = _read_rows(path, ["y1", "delta1", "y2", "delta2"], "dataset")
+    return Dataset(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4:])
 
 
 def write_truth_csv(truth, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "h1", "h2", "h3", "t1_true", "t2_true", "c"])
-        for i in range(len(truth.gamma)):
-            writer.writerow(
-                [_fmt(truth.gamma[i])]
-                + [_fmt(v) for v in truth.h[i]]
-                + [_fmt(truth.t1_true[i]), _fmt(truth.t2_true[i]), _fmt(truth.c[i])]
-            )
+        _write_rows(
+            fh, ["gamma", "h1", "h2", "h3", "t1_true", "t2_true", "c"], "{!r}," * 6 + "{!r}\r\n",
+            truth.gamma, *truth.h.T, truth.t1_true, truth.t2_true, truth.c,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -207,44 +210,42 @@ def write_trace_csv(trace_rows, path) -> None:
 def write_predictions_csv(times, predictions, path) -> None:
     """Long-format predictions: one (subject, t, pi) row per pair."""
     predictions = np.atleast_2d(np.asarray(predictions, dtype=float))
+    times = np.asarray(times, dtype=float)
+    n, k = predictions.shape
+    if len(times) != k:
+        raise ValueError("predictions must hold one column per time")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "t", "pi"])
-        for i in range(predictions.shape[0]):
-            for j, t in enumerate(times):
-                writer.writerow([i, _fmt(t), _fmt(predictions[i, j])])
+        _write_rows(fh, ["subject", "t", "pi"], "{},{!r},{!r}\r\n",
+                    np.repeat(np.arange(n), k), np.tile(times, n), predictions.ravel())
 
 
 def read_predictions_csv(path):
     """Return (times, (n, k) prediction matrix) from the long format."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["subject", "t", "pi"]:
-            raise ValueError("predictions CSV must have columns subject,t,pi")
-        by_time: dict = {}
-        for row in reader:
-            if not row:
-                continue
-            i, t, pi = int(row[0]), float(row[1]), float(row[2])
-            by_time.setdefault(t, {})[i] = pi
-    times = sorted(by_time)
-    n = 1 + max(max(v) for v in by_time.values())
-    preds = np.full((n, len(times)), np.nan)
-    for j, t in enumerate(times):
-        for i, pi in by_time[t].items():
-            preds[i, j] = pi
+    rows = _read_rows(path, ["subject", "t", "pi"], "predictions")
+    if rows.shape[1] != 3:
+        raise ValueError("predictions CSV must have columns subject,t,pi")
+    subject, t, pi = rows.T
+    if not np.all(np.isfinite(subject) & (subject >= 0) & (subject == np.floor(subject))):
+        raise ValueError("predictions CSV subject ids must be non-negative integers")
+    # n subjects at k times take n * k rows, so an id past the row count
+    # means pairs are missing
+    if len(subject) == 0 or subject.max() >= len(subject):
+        raise ValueError("predictions CSV is missing (subject, t) pairs")
+    ids = subject.astype(np.intp)
+    times, col = np.unique(t, return_inverse=True)
+    cells = np.sort(ids * len(times) + col)
+    if np.any(cells[1:] == cells[:-1]):
+        raise ValueError("predictions CSV repeats a (subject, t) pair")
+    preds = np.full((ids.max() + 1, len(times)), np.nan)
+    preds[ids, col] = pi
     if np.any(np.isnan(preds)):
         raise ValueError("predictions CSV is missing (subject, t) pairs")
-    return np.asarray(times), preds
+    return times, preds
 
 
 def write_bbs_csv(curve, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "bbs"])
-        for t, v in zip(curve.grid, curve.values):
-            writer.writerow([_fmt(t), _fmt(v)])
+        _write_rows(fh, ["t", "bbs"], "{!r},{!r}\r\n", curve.grid, curve.values)
 
 
 def write_bbs_summary(curve, n_points: int, path) -> None:

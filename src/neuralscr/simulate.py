@@ -11,7 +11,7 @@ invariants hold by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -53,8 +53,6 @@ class SimConfig:
             object.__setattr__(self, "p", 0 if self.risk_kind == "none" else 2)
 
     def replace_seed(self, seed: int) -> "SimConfig":
-        from dataclasses import replace
-
         return replace(self, seed=seed)
 
 
@@ -98,24 +96,24 @@ def _invert_weibull(u: np.ndarray, rate_scale: np.ndarray, phi1: float, phi2: fl
     return (u / (rate_scale * phi1)) ** (1.0 / phi2)
 
 
-def simulate(config: SimConfig):
-    """Return (dataset, truth) for one replicate of the configured design."""
-    rng = np.random.default_rng(config.seed)
+def _draw_latent(config: SimConfig, rng):
+    """Covariates, true risks, frailties, the latent non-terminal and
+    terminal candidate times, and the true terminal time."""
     x = _draw_covariates(config, rng)
     h = risk_values(config.risk_kind, x)
     gamma = rng.gamma(shape=1.0 / config.theta, scale=config.theta, size=config.n)
+    t1, t2, sojourn = (
+        _invert_weibull(rng.exponential(size=config.n), gamma * np.exp(h[:, g]), phi1, phi2)
+        for g, (phi1, phi2) in enumerate(config.weibulls)
+    )
+    return x, h, gamma, t1, t2, np.where(t1 < t2, t1 + sojourn, t2)
 
-    (p11, p12), (p21, p22), (p31, p32) = config.weibulls
-    u1 = rng.exponential(size=config.n)
-    u2 = rng.exponential(size=config.n)
-    u3 = rng.exponential(size=config.n)
-    t1_cand = _invert_weibull(u1, gamma * np.exp(h[:, 0]), p11, p12)
-    t2_cand = _invert_weibull(u2, gamma * np.exp(h[:, 1]), p21, p22)
-    sojourn = _invert_weibull(u3, gamma * np.exp(h[:, 2]), p31, p32)
 
-    prog_first = t1_cand < t2_cand
-    t_prog = np.where(prog_first, t1_cand, np.inf)
-    t_death = np.where(prog_first, t1_cand + sojourn, t2_cand)
+def simulate(config: SimConfig):
+    """Return (dataset, truth) for one replicate of the configured design."""
+    rng = np.random.default_rng(config.seed)
+    x, h, gamma, t1_cand, t2_cand, t_death = _draw_latent(config, rng)
+    t_prog = np.where(t1_cand < t2_cand, t1_cand, np.inf)
 
     rate = censoring_rate(config)
     if rate is None:
@@ -156,29 +154,14 @@ def censoring_rate(config: SimConfig) -> Optional[float]:
     if key in _RATE_CACHE:
         return _RATE_CACHE[key]
 
-    probe = SimConfig(
-        n=100_000,
-        theta=config.theta,
-        weibulls=config.weibulls,
-        risk_kind=config.risk_kind,
-        p=config.p,
-        censoring_target=0.0,
-        covariate_dist=config.covariate_dist,
-        seed=2_000_003,
-    )
+    # one probe draw; c = (1 / rate) * E is exactly rng.exponential(1 / rate)
+    probe = replace(config, n=100_000, censoring_target=0.0, seed=2_000_003)
+    rng = np.random.default_rng(probe.seed)
+    death = _draw_latent(probe, rng)[-1]
+    e = rng.standard_exponential(size=probe.n)
 
     def censored_fraction(rate: float) -> float:
-        rng = np.random.default_rng(probe.seed)
-        x = _draw_covariates(probe, rng)
-        h = risk_values(probe.risk_kind, x)
-        gamma = rng.gamma(1.0 / probe.theta, probe.theta, size=probe.n)
-        (p11, p12), (p21, p22), (p31, p32) = probe.weibulls
-        t1 = _invert_weibull(rng.exponential(size=probe.n), gamma * np.exp(h[:, 0]), p11, p12)
-        t2 = _invert_weibull(rng.exponential(size=probe.n), gamma * np.exp(h[:, 1]), p21, p22)
-        soj = _invert_weibull(rng.exponential(size=probe.n), gamma * np.exp(h[:, 2]), p31, p32)
-        death = np.where(t1 < t2, t1 + soj, t2)
-        c = rng.exponential(scale=1.0 / rate, size=probe.n)
-        return float(np.mean(death > c))
+        return float(np.mean(death > (1.0 / rate) * e))
 
     lo, hi = 1e-6, 1.0
     while censored_fraction(hi) < target:

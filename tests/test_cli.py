@@ -135,6 +135,21 @@ class TestExitCodes:
                      "--horizon", "1.0", "--out", str(tmp_path / "bbs.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0.5,0.9\n1,0.5,0.8\n-1,0.5,0.1\n", "non-negative integers"),
+        ("0,0.5,0.9\n1.5,0.5,0.8\n1,0.5,0.1\n", "non-negative integers"),
+        ("0,0.5,0.9\n1,0.5,0.8\n1,0.5,0.1\n", "repeats a (subject, t) pair"),
+    ])
+    def test_bad_prediction_subjects_are_2(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "data.csv"
+        data.write_text("y1,delta1,y2,delta2,x1\n0.4,1,0.8,1,0.1\n1.0,0,1.0,0,0.2\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("subject,t,pi\n" + rows)
+        code = main(["evaluate", "--data", str(data), "--preds", str(preds),
+                     "--horizon", "0.5", "--out", str(tmp_path / "bbs.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, code", [
         ("--em-iterations", "0", 2),
         ("--em-tolerance", "0", 2),

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralscr.core import Dataset
 from neuralscr.metrics import (
@@ -142,12 +146,70 @@ class TestBBS:
         assert abs(vals.mean() - (mse + irreducible)) < 3 * se
 
 
+def tied_censored_dataset(seed, n, decimals):
+    """Random upper-wedge data with times rounded to `decimals`, so that
+    event, censoring and grid times tie."""
+    rng = np.random.default_rng(seed)
+    y2 = np.round(rng.exponential(1.0, n), decimals) + 10.0 ** -decimals
+    delta1 = (rng.random(n) < 0.4).astype(float)
+    y1 = np.where(delta1 == 1, np.round(y2 * rng.random(n), decimals), y2)
+    delta2 = (rng.random(n) < 0.6).astype(float)
+    return Dataset(y1, delta1, y2, delta2, np.zeros((n, 0))), rng
+
+
+def bbs_at_one_time(ds, pi, curve, t):
+    """The per-time score, one subject mask per region, as a reference."""
+    region1 = (ds.y1 <= t) & (ds.delta1 == 1) & (ds.y1 <= ds.y2)
+    region2 = (ds.y1 <= t) & (ds.y2 <= t) & (ds.delta1 == 0) & (ds.delta2 == 1) & (ds.y1 <= ds.y2)
+    region3 = (ds.y1 > t) & (ds.y2 > t)
+    total = np.zeros(ds.n)
+    total[region1] = pi[region1] ** 2 / curve.evaluate(ds.y1[region1], left=True)
+    total[region2] = pi[region2] ** 2 / curve.evaluate(ds.y2[region2], left=True)
+    total[region3] = (1.0 - pi[region3]) ** 2 / curve.evaluate(t)
+    return float(np.mean(total))
+
+
+class TestBBSGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), decimals=st.integers(0, 2))
+    def test_grid_equals_per_time_scores_bit_for_bit(self, seed, n, decimals):
+        ds, rng = tied_censored_dataset(seed, n, decimals)
+        curve = reverse_km(ds)
+        grid = np.unique(np.concatenate([ds.y1, ds.y2, np.round(rng.exponential(1.0, 5), 2)]))
+        grid = grid[(grid > 0) & (curve.evaluate(grid) > 0)]
+        preds = rng.random((n, len(grid)))
+        values = bbs(ds, preds, curve, grid)
+        assert values.shape == grid.shape
+        for j, t in enumerate(grid):
+            assert values[j] == bbs(ds, preds[:, j], curve, float(t))
+            assert values[j] == bbs_at_one_time(ds, preds[:, j], curve, float(t))
+
+    def test_scalar_time_returns_a_float(self):
+        ds, rng = tied_censored_dataset(3, 20, 1)
+        assert isinstance(bbs(ds, rng.random(20), reverse_km(ds), 0.5), float)
+
+    def test_rejects_a_matrix_of_the_wrong_shape(self):
+        ds, rng = tied_censored_dataset(4, 10, 1)
+        with pytest.raises(ValueError, match="one value per subject and time"):
+            bbs(ds, rng.random((10, 2)), reverse_km(ds), np.array([0.2, 0.4, 0.6]))
+        with pytest.raises(ValueError, match="one value per subject and time"):
+            bbs(ds, rng.random(10), reverse_km(ds), np.array([0.2]))
+
+    def test_zero_weight_names_the_first_bad_time(self):
+        # the event at y1 = 3 needs G(3-), which the external curve puts at 0;
+        # t = 1 needs no weight there, t = 4 and t = 5 do
+        ds = Dataset([3.0], [1.0], [3.5], [1.0], np.zeros((1, 0)))
+        external = CensoringCurve(times=np.array([2.0]), survival=np.array([0.0]))
+        with pytest.raises(ZeroWeightError, match=r"t=4\.0"):
+            bbs(ds, np.full((1, 3), 0.5), external, np.array([1.0, 4.0, 5.0]))
+
+
 class TestIntegratedBBS:
     def test_constant_curve_time_average(self):
         # a constant BBS(t) = c integrates to c under time-averaging
         ds = Dataset([5.0, 5.0], [0.0, 0.0], [5.0, 5.0], [0.0, 0.0], np.zeros((2, 0)))
         curve = integrated_bbs(
-            ds, lambda t: np.array([0.5, 0.5]), no_censoring_curve(), horizon=1.0
+            ds, lambda t: np.full((2, len(t)), 0.5), no_censoring_curve(), horizon=1.0
         )
         assert curve.integrated == pytest.approx(0.25)
         assert len(curve.grid) == 100
@@ -155,9 +217,9 @@ class TestIntegratedBBS:
 
     def test_raw_integral_option(self):
         ds = Dataset([5.0], [0.0], [5.0], [0.0], np.zeros((1, 0)))
-        avg = integrated_bbs(ds, lambda t: np.array([0.5]), no_censoring_curve(),
+        avg = integrated_bbs(ds, lambda t: np.full((1, len(t)), 0.5), no_censoring_curve(),
                              horizon=2.0, time_average=True)
-        raw = integrated_bbs(ds, lambda t: np.array([0.5]), no_censoring_curve(),
+        raw = integrated_bbs(ds, lambda t: np.full((1, len(t)), 0.5), no_censoring_curve(),
                              horizon=2.0, time_average=False)
         assert raw.integrated == pytest.approx(avg.integrated * (raw.grid[-1] - raw.grid[0]))
 
@@ -167,5 +229,44 @@ class TestIntegratedBBS:
         )
         curve = reverse_km(ds)  # hits zero at t = 2
         with pytest.warns(UserWarning, match="truncating"):
-            out = integrated_bbs(ds, lambda t: np.array([0.5, 0.5]), curve, horizon=3.0)
+            out = integrated_bbs(ds, lambda t: np.full((2, len(t)), 0.5), curve, horizon=3.0)
         assert out.horizon < 3.0
+
+    def test_predict_is_called_once_on_the_final_grid(self):
+        ds, rng = tied_censored_dataset(5, 40, 2)
+        calls = []
+
+        def predict(grid):
+            calls.append(np.array(grid))
+            return np.full((ds.n, len(grid)), 0.5)
+
+        out = integrated_bbs(ds, predict, reverse_km(ds), horizon=1.0, n_points=25)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], out.grid)
+        assert len(out.grid) == 25
+
+    def test_predict_is_called_once_when_truncating(self):
+        ds = Dataset([0.5, 2.0], [0.0, 0.0], [0.5, 2.0], [0.0, 0.0], np.zeros((2, 0)))
+        calls = []
+
+        def predict(grid):
+            calls.append(np.array(grid))
+            return np.full((2, len(grid)), 0.5)
+
+        with pytest.warns(UserWarning, match="truncating"):
+            out = integrated_bbs(ds, predict, reverse_km(ds), horizon=3.0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], out.grid)
+        assert out.grid[-1] < 2.0
+
+    def test_scoring_emits_no_runtime_warning(self):
+        # an external G that reaches zero at 2.5: the late subject's
+        # G(y1-) = G(y2-) = 0, but no region of the grid up to 2 uses them
+        ds = Dataset([0.5, 3.0, 1.0], [1.0, 0.0, 0.0], [0.8, 3.0, 1.0], [1.0, 0.0, 1.0],
+                     np.zeros((3, 0)))
+        external = CensoringCurve(times=np.array([1.5, 2.5]), survival=np.array([0.5, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = integrated_bbs(ds, lambda grid: np.full((3, len(grid)), 0.5), external,
+                                   horizon=2.0)
+        assert np.all(np.isfinite(curve.values)) and curve.horizon == 2.0

@@ -51,6 +51,24 @@ class TestDatasetCSV:
         with pytest.raises(ValueError):
             read_dataset_csv(path)
 
+    def test_exact_bytes(self, tmp_path):
+        ds = Dataset([1.0, 0.1], [1.0, 0.0], [2.0, 0.1], [1.0, 0.0],
+                     np.array([[0.5, -0.25], [1e-300, -0.0]]))
+        path = tmp_path / "d.csv"
+        write_dataset_csv(ds, path)
+        assert path.read_bytes() == (b"y1,delta1,y2,delta2,x1,x2\r\n1.0,1,2.0,1,0.5,-0.25\r\n"
+                                     b"0.1,0,0.1,0,1e-300,-0.0\r\n")
+
+    def test_roundtrip_is_byte_identical(self, tmp_path):
+        # more rows than one write chunk
+        ds, truth = simulate(SimConfig(n=9000, theta=0.5, risk_kind="linear",
+                                       censoring_target=0.3, seed=2))
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_dataset_csv(ds, first)
+        write_dataset_csv(read_dataset_csv(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert len(first.read_bytes().splitlines()) == 9001
+
     def test_truth_csv_header(self, tmp_path):
         ds, truth = simulate(SimConfig(n=5, theta=0.5, risk_kind="linear", seed=2))
         path = tmp_path / "truth.csv"
@@ -124,6 +142,50 @@ class TestRunArtifacts:
         t_back, p_back = read_predictions_csv(path)
         np.testing.assert_allclose(t_back, times)
         np.testing.assert_allclose(p_back, preds)
+
+    def test_predictions_exact_bytes(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_predictions_csv([0.5, 1.0], np.array([[0.9, 0.8], [0.7, 0.5]]), path)
+        assert path.read_bytes() == (b"subject,t,pi\r\n0,0.5,0.9\r\n0,1.0,0.8\r\n"
+                                     b"1,0.5,0.7\r\n1,1.0,0.5\r\n")
+
+    def test_predictions_roundtrip_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(6)
+        times = np.sort(rng.exponential(size=7))
+        preds = rng.random((1500, 7))
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_predictions_csv(times, preds, first)
+        t_back, p_back = read_predictions_csv(first)
+        np.testing.assert_array_equal(t_back, times)
+        np.testing.assert_array_equal(p_back, preds)
+        write_predictions_csv(t_back, p_back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_predictions_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("subject,t,pi\n1,1.0,0.5\n0,0.5,0.9\n1,0.5,0.7\n0,1.0,0.8\n")
+        times, preds = read_predictions_csv(path)
+        np.testing.assert_array_equal(times, [0.5, 1.0])
+        np.testing.assert_array_equal(preds, [[0.9, 0.8], [0.7, 0.5]])
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0.5,0.9\n1,0.5,0.8\n-1,0.5,0.1\n", "non-negative integers"),
+        ("0,0.5,0.9\n1,0.5,0.8\n1.5,0.5,0.1\n", "non-negative integers"),
+        ("0,0.5,0.9\n1,0.5,0.8\nnan,0.5,0.1\n", "non-negative integers"),
+        ("0,0.5,0.9\n1,0.5,0.8\n1,0.5,0.1\n", "repeats"),
+        ("0,0.5,0.9\n1,0.5,0.8\n1,1.0,0.1\n", "missing"),
+        ("0,0.5,0.9\n7,0.5,0.8\n", "missing"),
+        ("", "missing"),
+    ])
+    def test_predictions_reader_rejects_bad_rows(self, tmp_path, rows, message):
+        path = tmp_path / "preds.csv"
+        path.write_text("subject,t,pi\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            read_predictions_csv(path)
+
+    def test_predictions_writer_needs_one_column_per_time(self, tmp_path):
+        with pytest.raises(ValueError, match="one column per time"):
+            write_predictions_csv([0.5], np.ones((3, 2)), tmp_path / "p.csv")
 
     def test_bbs_outputs(self, tmp_path):
         curve = BBSCurve(

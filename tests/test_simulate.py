@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from neuralscr.simulate import (
     simulate,
     true_survival,
 )
+
+# the package exports a function of the same name
+simulate_module = importlib.import_module("neuralscr.simulate")
 
 
 def bbs_style_config(n, censoring_target=0.0, seed=0):
@@ -55,6 +60,16 @@ class TestSimulate:
                         censoring_target=0.25, seed=6)
         ds, _ = simulate(cfg)
         assert abs(np.mean(ds.delta2 == 0) - 0.25) < 0.03
+
+    def test_calibrated_rate_is_pinned(self, monkeypatch):
+        # the benchmark design; the rate does not depend on n or the seed
+        monkeypatch.setattr(simulate_module, "_RATE_CACHE", {})  # calibrate afresh
+        cfg = SimConfig(n=10, theta=0.5, risk_kind="nonmonotonic",
+                        censoring_target=0.25, seed=3)
+        assert censoring_rate(cfg) == 0.3599297590233568
+        assert simulate_module._RATE_CACHE == {
+            (0.5, cfg.weibulls, "nonmonotonic", 2, "normal", 0.25): 0.3599297590233568
+        }
 
     def test_explicit_rate_wins(self):
         cfg = SimConfig(n=100, theta=0.5, risk_kind="none",
