@@ -63,13 +63,39 @@ def breslow_jumps(event_times, at_risk_times, at_risk_weights):
 # ---------------------------------------------------------------------------
 
 
+def _splitmix64(key, count):
+    """The final mixed words of the splitmix64 stream at `key`, draws 1..count.
+
+    Mixes in place: one array plus one work array of `count` words.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(key)
+    t = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
 def uniform_block(key, count):
     """`count` uniforms in [0, 1) from the splitmix64 stream at `key`."""
-    z = np.uint64(key) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    u = _splitmix64(key, count) >> np.uint64(11)
+    return u.astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def drop_threshold(q):
+    """The mixed word below which a dropout entry is dropped.
+
+    An entry is dropped where its `uniform_block` draw u = (z >> 11) / 2**53
+    is below q.  The integer z >> 11 is below q * 2**53 exactly when it is
+    below ceil(q * 2**53), that is when z < ceil(q * 2**53) << 11, so the
+    mask needs no float draw.  Valid for 0 <= q < 1.
+    """
+    return np.uint64(math.ceil(q * 9007199254740992.0) << 11)
 
 
 def dropout_mask(key, g, layer, rows, cols, q):
@@ -79,8 +105,8 @@ def dropout_mask(key, g, layer, rows, cols, q):
     the zero-covariate reference, is never dropped.
     """
     layer_key = (int(key) + (g * 16 + layer) * 0xD1B54A32D192ED03) & _MASK64
-    u = uniform_block(layer_key, rows * cols).reshape(rows, cols)
-    mask = np.where(u < q, 0.0, 1.0 / (1.0 - q))
+    keep = _splitmix64(layer_key, rows * cols).reshape(rows, cols) >= drop_threshold(q)
+    mask = keep * (1.0 / (1.0 - q))
     mask[-1] = 1.0
     return mask
 
@@ -120,9 +146,11 @@ def mlp(layers, A, masks=None):
         if l:
             A = np.maximum(zs[-1], 0.0)
             if masks is not None:
-                A = A * masks[l - 1]
+                A *= masks[l - 1]
         ins.append(A)
-        zs.append(A @ w.T + b)
+        z = A @ w.T
+        z += b
+        zs.append(z)
     return ins, zs
 
 
@@ -185,24 +213,28 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
         ins, zs = mlp(layers, Xa, masks)
         out = zs[-1][:, 0]
         h = out[:n] - out[n]
-        eh = np.exp(h)
-        q += np.sum(ev[g] * h - egam * lam[g] * eh)
+        mu = egam * lam[g] * np.exp(h)
+        q += np.sum(ev[g] * h - mu)
 
         # d(loss)/dh_g with loss = -Q/n + penalty; the reference output
         # receives minus the total upstream gradient
-        dh = -(ev[g] - egam * lam[g] * eh) / nf
+        dh = -(ev[g] - mu) / nf
         dZ = np.append(dh, -np.sum(dh))[:, None]
-        for l in range(len(layers) - 1, -1, -1):
+        last = len(layers) - 1
+        for l in range(last, -1, -1):
             w = layers[l][0]
             dout, din = w.shape
             dW[g, l, :dout, :din] += dZ.T @ ins[l]
-            if l < len(layers) - 1:
+            if l < last:
                 dB[g, l, :dout] += dZ.sum(axis=0)
             if l > 0:
-                dH = dZ @ w
+                # the output layer has one unit: its dZ @ w is an outer product
+                dZ = dZ * w if l == last else dZ @ w
                 if masks is not None:
-                    dH = dH * masks[l - 1]
-                dZ = np.where(zs[l - 1] > 0.0, dH, 0.0)
+                    dZ *= masks[l - 1]
+                # relu gate by multiplication: wherever dZ is finite this
+                # zeroes the inactive units (a zero may come out as -0.0)
+                dZ *= zs[l - 1] > 0.0
 
     sum_elog = np.sum(elog)
     sum_egam = np.sum(egam)

@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import harness
-from .core import DatasetValidationError, validate_dataset
+from .core import DatasetValidationError, LinearRisk, validate_dataset
 from .em import EMConfig, EmptyRiskSetError
 from .likelihood import joint_event_free_survival
 from .metrics import ZeroWeightError, integrated_bbs, reverse_km
-from .neural import TrainConfig
+from .neural import NeuralRisk, TrainConfig
 from .serialize import (
     load_model,
     read_dataset_csv,
@@ -138,6 +138,12 @@ def _cmd_predict(args) -> int:
     dataset = validate_dataset(read_dataset_csv(args.data))
     times = [float(v) for v in args.times.split(",") if v.strip()]
     state = model.to_state() if isinstance(model, ParametricModel) else model
+    risk = state.risk_model
+    if isinstance(risk, (NeuralRisk, LinearRisk)):
+        model_p = int(risk.dims[0]) if isinstance(risk, NeuralRisk) else risk.beta.shape[1]
+        if model_p != dataset.p:
+            raise ValueError(f"the model takes p = {model_p} covariates, "
+                             f"the data has p = {dataset.p}")
     preds = joint_event_free_survival(dataset.x, np.asarray(times), state)
     write_predictions_csv(times, preds, args.out)
     print(f"wrote predictions for {dataset.n} subjects at {len(times)} times -> {args.out}")

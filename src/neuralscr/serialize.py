@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from typing import Union
 
@@ -98,11 +99,55 @@ def _network_to_json(net: RiskNetwork) -> list:
     return layers
 
 
-def _network_from_json(layers: list) -> RiskNetwork:
-    return RiskNetwork(
-        [np.asarray(layer["W"], dtype=float) for layer in layers],
-        [np.asarray(layer["b"], dtype=float) for layer in layers],
-    )
+# Snapshots are checked as they load, in time linear in their size: a missing
+# field, a non-finite number or a mis-shaped layer raises ValueError, where it
+# would otherwise surface as a KeyError or as non-finite predictions.  Sign
+# and order rules are left to StepHazard, RiskNetwork, NeuralRisk and
+# ModelState.
+
+
+def _field(doc, key, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"model JSON: {where} has no {key!r} field")
+    return doc[key]
+
+
+def _finite_array(value, ndim: int, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"model JSON: {what} must be numeric") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"model JSON: {what} must be a {ndim}-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"model JSON: {what} must be finite")
+    return arr
+
+
+def _theta(doc) -> float:
+    theta = _field(doc, "theta", "the model")
+    if not isinstance(theta, (int, float)) or not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"model JSON: theta must be finite and positive, got {theta!r}")
+    return float(theta)
+
+
+def _network_from_json(layers, what: str) -> RiskNetwork:
+    """A sub-network whose layer shapes chain: layer l maps k_l inputs to
+    k_{l+1} outputs, with a k_{l+1}-vector bias."""
+    if not isinstance(layers, list) or not layers:
+        raise ValueError(f"model JSON: {what} must be a nonempty list of layers")
+    weights, biases = [], []
+    for l, layer in enumerate(layers):
+        where = f"{what} layer {l}"
+        w = _finite_array(_field(layer, "W", where), 2, f"{where} W")
+        b = _finite_array(_field(layer, "b", where), 1, f"{where} b")
+        din = weights[-1].shape[0] if weights else w.shape[1]
+        if w.shape[1] != din or b.shape != (w.shape[0],):
+            raise ValueError(f"model JSON: {where} has W {w.shape} and b {b.shape}; "
+                             f"expected W (k, {din}) and b (k,)")
+        weights.append(w)
+        biases.append(b)
+    return RiskNetwork(weights, biases)
 
 
 def state_to_json(state: ModelState) -> dict:
@@ -135,27 +180,37 @@ def state_to_json(state: ModelState) -> dict:
 
 
 def state_from_json(doc: dict) -> ModelState:
+    theta = _theta(doc)
+    entries = _field(doc, "baselines", "the model")
+    three = isinstance(entries, list) and len(entries) == 3
     hazards = {}
-    for entry in doc["baselines"]:
-        hz = (
-            StepHazard(entry["jump_times"], entry["jump_sizes"])
-            if entry["jump_times"]
-            else StepHazard.empty()
+    for entry in entries if three else ():
+        g = _field(entry, "transition", "a baseline")
+        what = f"transition {g} baseline"
+        hazards[g] = StepHazard(
+            _finite_array(_field(entry, "jump_times", what), 1, f"{what} jump_times"),
+            _finite_array(_field(entry, "jump_sizes", what), 1, f"{what} jump_sizes"),
         )
-        hazards[int(entry["transition"])] = hz
-    risk_doc = doc["risk_model"]
-    kind = risk_doc["kind"]
+    if set(hazards) != {1, 2, 3}:
+        raise ValueError("model JSON: baselines must hold transitions 1, 2 and 3 once each")
+    risk_doc = _field(doc, "risk_model", "the model")
+    kind = _field(risk_doc, "kind", "risk_model")
     if kind == "neural":
-        risk = NeuralRisk([_network_from_json(layers) for layers in risk_doc["sub_networks"]])
+        nets = _field(risk_doc, "sub_networks", "risk_model")
+        if not isinstance(nets, list) or len(nets) != 3:
+            raise ValueError("model JSON: risk_model needs three sub_networks")
+        risk = NeuralRisk([_network_from_json(layers, f"sub-network {g}")
+                           for g, layers in enumerate(nets, start=1)])
     elif kind == "linear":
-        risk = LinearRisk(np.asarray(risk_doc["coefficients"], dtype=float))
+        risk = LinearRisk(_finite_array(_field(risk_doc, "coefficients", "risk_model"), 2,
+                                        "risk_model coefficients"))
     elif kind == "zero":
         risk = ZeroRisk()
     else:
         raise ValueError(f"unknown risk model kind {kind!r}")
     return ModelState(
         lambda01=hazards[1], lambda02=hazards[2], lambda03=hazards[3],
-        theta=float(doc["theta"]), risk_model=risk,
+        theta=theta, risk_model=risk,
     )
 
 
@@ -168,10 +223,13 @@ def parametric_to_json(model: ParametricModel) -> dict:
 
 
 def parametric_from_json(doc: dict) -> ParametricModel:
+    phi = _finite_array(_field(doc, "phi", "the model"), 2, "phi")
+    if phi.shape != (3, 2) or np.any(phi <= 0):
+        raise ValueError("model JSON: phi must be a (3, 2) array of positive Weibull parameters")
     return ParametricModel(
-        phi=np.asarray(doc["phi"], dtype=float),
-        beta=np.asarray(doc["beta"], dtype=float),
-        theta=float(doc["theta"]),
+        phi=phi,
+        beta=_finite_array(_field(doc, "beta", "the model"), 2, "beta"),
+        theta=_theta(doc),
     )
 
 
@@ -186,9 +244,12 @@ def save_model(model: Union[ModelState, ParametricModel], path) -> None:
 
 
 def load_model(path) -> Union[ModelState, ParametricModel]:
-    """Load either snapshot flavor, sniffing on the `phi` key."""
+    """Load either snapshot flavor, sniffing on the `phi` key; a snapshot
+    that is not a well-formed model raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("model JSON must be an object")
     if "phi" in doc:
         return parametric_from_json(doc)
     return state_from_json(doc)
@@ -227,6 +288,10 @@ def read_predictions_csv(path):
     subject, t, pi = rows.T
     if not np.all(np.isfinite(subject) & (subject >= 0) & (subject == np.floor(subject))):
         raise ValueError("predictions CSV subject ids must be non-negative integers")
+    if not np.all(np.isfinite(pi)):
+        raise ValueError("predictions CSV pi values must be finite")
+    if not np.all((pi >= 0.0) & (pi <= 1.0)):
+        raise ValueError("predictions CSV pi values must be probabilities in [0, 1]")
     # n subjects at k times take n * k rows, so an id past the row count
     # means pairs are missing
     if len(subject) == 0 or subject.max() >= len(subject):

@@ -62,8 +62,44 @@ def _pack(log_phi, beta, log_theta) -> np.ndarray:
     return np.concatenate([np.ravel(log_phi), np.ravel(beta), [log_theta]])
 
 
-def _loglik_and_grad(params: np.ndarray, dataset: Dataset):
-    """Observed log likelihood and its gradient in the packed coordinates."""
+@dataclass(frozen=True)
+class _Invariants:
+    """The parts of the objective that no parameter moves, per transition g:
+    the at-risk mask with positive exposure, its exposure-time logs (0 off
+    the mask), the event mask, the event-time logs, the event count and the
+    event rows' covariate sums."""
+
+    on: np.ndarray             # (3, n) bool
+    log_exposure: np.ndarray   # (3, n)
+    event: tuple               # 3 x (n,) bool
+    log_event_time: tuple      # 3 x (events,)
+    n_events: tuple            # 3 x int
+    event_x_sum: tuple         # 3 x (p,)
+
+
+def _invariants(dataset: Dataset) -> _Invariants:
+    tr = dataset.transitions
+    on = tr.at_risk & (tr.exposure > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_exposure = np.where(on, np.log(np.maximum(tr.exposure, 1e-300)), 0.0)
+    event = tuple(ev > 0 for ev in tr.event)
+    return _Invariants(
+        on=on,
+        log_exposure=log_exposure,
+        event=event,
+        log_event_time=tuple(np.log(t[m]) for t, m in zip(tr.event_time, event)),
+        n_events=tuple(int(np.sum(m)) for m in event),
+        event_x_sum=tuple(dataset.x[m].sum(axis=0) for m in event),
+    )
+
+
+def _loglik_and_grad(params: np.ndarray, dataset: Dataset, inv: _Invariants = None):
+    """Observed log likelihood and its gradient in the packed coordinates.
+
+    `inv`, the dataset's `_invariants`, is computed here when not given.
+    """
+    if inv is None:
+        inv = _invariants(dataset)
     p = dataset.p
     log_phi, beta, log_theta = _unpack(params, p)
     phi = np.exp(log_phi)
@@ -71,23 +107,12 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset):
     inv_t = 1.0 / theta
 
     d1, d2 = dataset.delta1, dataset.delta2
-    tr = dataset.transitions
-    ev, event_t = tr.event, tr.event_time
 
     h = dataset.x @ beta.T if p else np.zeros((dataset.n, 3))
     eh = np.exp(h)
 
-    lam = []
-    log_exp_t = []
-    for g in range(3):
-        tg = tr.exposure[g]
-        on = tr.at_risk[g] & (tg > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lt = np.where(on, np.log(np.maximum(tg, 1e-300)), 0.0)
-        lam.append(on * phi[g, 0] * np.exp(phi[g, 1] * lt))
-        log_exp_t.append(lt)
-    lam = np.array(lam)            # (3, n)
-    log_exp_t = np.array(log_exp_t)
+    lam = np.array([inv.on[g] * phi[g, 0] * np.exp(phi[g, 1] * inv.log_exposure[g])
+                    for g in range(3)])  # (3, n)
 
     a_tilde = inv_t + d1 + d2
     b_tilde = inv_t + sum(lam[g] * eh[:, g] for g in range(3))
@@ -95,33 +120,25 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset):
     ll = np.sum(gammaln(a_tilde)) - dataset.n * (math.lgamma(inv_t) + inv_t * log_theta)
     ll -= float(np.sum(a_tilde * np.log(b_tilde)))
     for g in range(3):
-        mask = ev[g] > 0
-        if np.any(mask):
-            lt_ev = np.log(event_t[g][mask])
-            ll += float(
-                np.sum(
-                    log_phi[g, 0] + log_phi[g, 1]
-                    + (phi[g, 1] - 1.0) * lt_ev
-                    + h[mask, g]
-                )
+        ll += float(
+            np.sum(
+                log_phi[g, 0] + log_phi[g, 1]
+                + (phi[g, 1] - 1.0) * inv.log_event_time[g]
+                + h[inv.event[g], g]
             )
+        )
 
     grad = np.zeros_like(params)
     ab = a_tilde / b_tilde
     for g in range(3):
         w = ab * lam[g] * eh[:, g]
-        mask = ev[g] > 0
         # d/d log phi_{g1}
-        grad[2 * g] = float(np.sum(mask) - np.sum(w))
+        grad[2 * g] = float(inv.n_events[g] - np.sum(w))
         # d/d log phi_{g2}
-        ev_part = 0.0
-        if np.any(mask):
-            ev_part = float(np.sum(1.0 + phi[g, 1] * np.log(event_t[g][mask])))
-        grad[2 * g + 1] = ev_part - float(np.sum(w * phi[g, 1] * log_exp_t[g]))
+        ev_part = float(np.sum(1.0 + phi[g, 1] * inv.log_event_time[g]))
+        grad[2 * g + 1] = ev_part - float(np.sum(w * phi[g, 1] * inv.log_exposure[g]))
         if p:
-            gb = dataset.x[mask].sum(axis=0) if np.any(mask) else np.zeros(p)
-            gb = gb - dataset.x.T @ w
-            grad[6 + g * p: 6 + (g + 1) * p] = gb
+            grad[6 + g * p: 6 + (g + 1) * p] = inv.event_x_sum[g] - dataset.x.T @ w
 
     dll_dtheta_part = (
         -psi(a_tilde)
@@ -164,9 +181,11 @@ def fit_parametric(dataset: Dataset, restarts: int = 3, seed: int = 0) -> Parame
         + [LOG_THETA_BOUNDS]
     )
 
+    inv = _invariants(dataset)
+
     def objective(params):
         with np.errstate(over="ignore", invalid="ignore"):
-            ll, grad = _loglik_and_grad(params, dataset)
+            ll, grad = _loglik_and_grad(params, dataset, inv)
         if not np.isfinite(ll) or not np.all(np.isfinite(grad)):
             return 1e12, np.zeros_like(params)
         return -ll, -grad

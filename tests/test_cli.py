@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from neuralscr.cli import _train_config, build_parser, main
-from neuralscr.serialize import read_dataset_csv, read_table_csv
+from neuralscr.serialize import read_dataset_csv, read_table_csv, write_dataset_csv
+from neuralscr.simulate import SimConfig, simulate
 
 
 @pytest.fixture()
@@ -16,6 +18,30 @@ def data_csv(tmp_path):
     ])
     assert code == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def neural_model(tmp_path_factory):
+    """A small fitted neural model (p = 2) and the dataset it was fitted to."""
+    tmp = tmp_path_factory.mktemp("neural_model")
+    data, model = tmp / "data.csv", tmp / "model.json"
+    ds, _ = simulate(SimConfig(n=120, theta=0.5, risk_kind="linear",
+                               censoring_target=0.25, seed=4))
+    write_dataset_csv(ds, data)
+    assert main(["fit", "--data", str(data), "--model", "neural", "--out", str(model),
+                 "--em-iterations", "2", "--epochs", "2", "--nodes", "4", "--layers", "1",
+                 "--theta-init", "0.5", "--seed", "0"]) == 0
+    return data, json.loads(model.read_text())
+
+
+def setting(path, value):
+    """A corruption that sets the JSON field at `path` to `value`."""
+    def corrupt(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return corrupt
 
 
 class TestSimulateCommand:
@@ -149,6 +175,62 @@ class TestExitCodes:
                      "--horizon", "0.5", "--out", str(tmp_path / "bbs.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0.5,5.0\n1,0.5,-3\n", "probabilities in [0, 1]"),
+        ("0,0.5,0.9\n1,0.5,1.5\n", "probabilities in [0, 1]"),
+        ("0,0.5,nan\n1,0.5,0.8\n", "must be finite"),
+        ("0,0.5,0.9\n1,0.5,inf\n", "must be finite"),
+    ])
+    def test_non_probability_predictions_are_2(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "data.csv"
+        data.write_text("y1,delta1,y2,delta2,x1\n0.4,1,0.8,1,0.1\n1.0,0,1.0,0,0.2\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("subject,t,pi\n" + rows)
+        code = main(["evaluate", "--data", str(data), "--preds", str(preds),
+                     "--horizon", "0.5", "--out", str(tmp_path / "bbs.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc.pop("theta"), "has no 'theta' field"),
+        (lambda doc: doc["risk_model"].pop("sub_networks"), "has no 'sub_networks' field"),
+        (lambda doc: doc["baselines"].pop(), "transitions 1, 2 and 3"),
+        (setting(("baselines", 0, "jump_sizes", 0), math.nan), "jump_sizes must be finite"),
+        (setting(("theta",), math.inf), "theta must be finite and positive"),
+        (setting(("theta",), 0.0), "theta must be finite and positive"),
+        (setting(("baselines", 1, "jump_sizes", 0), -0.1), "jump_sizes must be positive"),
+        (lambda doc: doc["baselines"][1]["jump_times"].reverse(), "strictly increasing"),
+        (lambda doc: doc["risk_model"]["sub_networks"][1][0]["W"].pop(),
+         "sub-network 2 layer 0 has W (3, 2) and b (4,)"),
+        (lambda doc: doc["risk_model"]["sub_networks"][2][1]["W"][0].pop(),
+         "sub-network 3 layer 1 has W (1, 3) and b (1,); expected W (k, 4)"),
+        (setting(("risk_model", "sub_networks", 0, 1, "b"), [0.5]), "output bias"),
+    ], ids=["no-theta", "no-sub-networks", "two-baselines", "nan-jump", "inf-theta",
+            "zero-theta", "negative-jump", "unordered-jumps", "bias-shape", "unchained-layer",
+            "output-bias"])
+    def test_corrupt_model_json_is_2(self, neural_model, tmp_path, capsys, corrupt, message):
+        data, doc = neural_model
+        doc = json.loads(json.dumps(doc))
+        corrupt(doc)
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--times", "0.5", "--out", str(tmp_path / "preds.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_predict_names_both_covariate_counts(self, neural_model, tmp_path, capsys):
+        _, doc = neural_model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        wide = tmp_path / "wide.csv"
+        ds, _ = simulate(SimConfig(n=30, theta=0.5, risk_kind="none", p=3, seed=2))
+        write_dataset_csv(ds, wide)
+        code = main(["predict", "--model", str(model), "--data", str(wide),
+                     "--times", "0.5", "--out", str(tmp_path / "preds.csv")])
+        assert code == 2
+        assert "the model takes p = 2 covariates, the data has p = 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--em-iterations", "0", 2),

@@ -1,0 +1,174 @@
+"""Bit-identity oracles for the N-step kernels.
+
+The kernels mix the splitmix64 stream in place, draw dropout masks by
+comparing the mixed words against an integer threshold, gate the relu
+backward pass by multiplying with a boolean and form the one-unit output
+layer's backward product by broadcasting.  The references below keep the
+plain formulas: a fresh array per mixing step, a float draw compared against
+q inside ``np.where``, ``np.where`` relu gates and matmuls throughout.  The
+kernels must return the same numbers exactly; only the sign of a zero may
+differ, which ``==`` does not see.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import psi
+
+from neuralscr import _kernels
+
+MASK64 = (1 << 64) - 1
+
+
+def reference_uniforms(key, count):
+    """The splitmix64 draws at `key`, one fresh array per mixing step."""
+    z = np.uint64(key) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def reference_mask(key, g, layer, rows, cols, q):
+    layer_key = (int(key) + (g * 16 + layer) * 0xD1B54A32D192ED03) & MASK64
+    u = reference_uniforms(layer_key, rows * cols).reshape(rows, cols)
+    mask = np.where(u < q, 0, 1 / (1 - q))
+    mask[-1] = 1.0
+    return mask
+
+
+def reference_loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
+                             dropout_q, rng_key):
+    """The training loss and its gradients, written with np.where and
+    matmuls only (xi is trained)."""
+    n = X.shape[0]
+    nf = float(n)
+    Xa = np.concatenate((X, np.zeros((1, X.shape[1]))))
+    dW = np.zeros_like(W)
+    dB = np.zeros_like(B)
+    q = const_q123
+    for g in range(3):
+        layers = [(W[g, l, :dout, :din], B[g, l, :dout])
+                  for l, (din, dout) in enumerate(zip(dims[:-1], dims[1:]))]
+        masks = None
+        if dropout_q > 0.0:
+            masks = [reference_mask(rng_key, g, l, n + 1, w.shape[0], dropout_q)
+                     for l, (w, _) in enumerate(layers[:-1])]
+        ins, zs = [], []
+        A = Xa
+        for l, (w, b) in enumerate(layers):
+            if l:
+                A = np.maximum(zs[-1], 0.0)
+                if masks is not None:
+                    A = A * masks[l - 1]
+            ins.append(A)
+            zs.append(A @ w.T + b)
+        out = zs[-1][:, 0]
+        h = out[:n] - out[n]
+        eh = np.exp(h)
+        q += np.sum(ev[g] * h - egam * lam[g] * eh)
+        dh = -(ev[g] - egam * lam[g] * eh) / nf
+        dZ = np.append(dh, -np.sum(dh))[:, None]
+        for l in range(len(layers) - 1, -1, -1):
+            w = layers[l][0]
+            dout, din = w.shape
+            dW[g, l, :dout, :din] += dZ.T @ ins[l]
+            if l < len(layers) - 1:
+                dB[g, l, :dout] += dZ.sum(axis=0)
+            if l > 0:
+                dH = dZ @ w
+                if masks is not None:
+                    dH = dH * masks[l - 1]
+                dZ = np.where(zs[l - 1] > 0.0, dH, 0.0)
+    sum_elog = np.sum(elog)
+    sum_egam = np.sum(egam)
+    q += _kernels.q4(nf, xi, sum_elog, sum_egam)
+    loss = -q / nf + l2 * (np.sum(W * W) + np.sum(B * B))
+    dW += 2.0 * l2 * W
+    dB += 2.0 * l2 * B
+    inv_t = 1.0 / math.exp(xi)
+    dxi = float(-(inv_t * (nf * (xi - 1.0 + psi(inv_t)) - sum_elog + sum_egam)) / nf)
+    return loss, dW, dB, dxi
+
+
+keys = st.integers(min_value=0, max_value=MASK64)
+probabilities = st.sampled_from([0.5, 0.25, 1e-12, 1 - 2**-53, 0.1, 0.3]) | st.floats(
+    min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+class TestSplitmix64:
+    @settings(max_examples=60, deadline=None)
+    @given(key=keys, count=st.integers(min_value=0, max_value=300))
+    @example(key=0, count=64)
+    @example(key=MASK64, count=64)
+    def test_uniform_block_matches_the_plain_formula(self, key, count):
+        np.testing.assert_array_equal(_kernels.uniform_block(key, count),
+                                      reference_uniforms(key, count))
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=keys, g=st.integers(0, 2), layer=st.integers(0, 7),
+           rows=st.integers(1, 40), cols=st.integers(1, 20), q=probabilities)
+    @example(key=0, g=0, layer=0, rows=33, cols=16, q=0.5)
+    @example(key=MASK64, g=2, layer=1, rows=33, cols=16, q=0.25)
+    @example(key=MASK64, g=1, layer=3, rows=40, cols=20, q=1e-12)
+    @example(key=0, g=2, layer=7, rows=40, cols=20, q=1 - 2**-53)
+    def test_dropout_mask_matches_the_float_draw(self, key, g, layer, rows, cols, q):
+        mask = _kernels.dropout_mask(key, g, layer, rows, cols, q)
+        expected = reference_mask(key, g, layer, rows, cols, q)
+        assert mask.dtype == np.float64 and mask.shape == (rows, cols)
+        np.testing.assert_array_equal(mask, expected)
+
+
+def training_inputs(seed, n, dims):
+    rng = np.random.default_rng(seed)
+    dims = np.asarray(dims, dtype=np.int64)
+    n_layers = len(dims) - 1
+    kmax = int(dims.max())
+    W = np.zeros((3, n_layers, kmax, kmax))
+    B = np.zeros((3, n_layers, kmax))
+    for g in range(3):
+        for l in range(n_layers):
+            din, dout = dims[l], dims[l + 1]
+            W[g, l, :dout, :din] = rng.normal(0, 0.6, size=(dout, din))
+            if l < n_layers - 1:
+                B[g, l, :dout] = rng.normal(0, 0.2, size=dout)
+    X = rng.normal(size=(n, dims[0]))
+    ev = (rng.random((3, n)) < 0.4).astype(float)
+    lam = rng.uniform(0.05, 0.6, size=(3, n))
+    egam = rng.uniform(0.5, 1.8, size=n)
+    elog = rng.normal(-0.1, 0.3, size=n)
+    return W, B, dims, X, ev, lam, egam, elog, 1.3, math.log(0.7)
+
+
+class TestLossAndGrads:
+    @pytest.mark.parametrize("dropout_q", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("n, dims", [(300, (2, 32, 32, 1)), (41, (3, 5, 1)),
+                                         (64, (2, 6, 4, 7, 1))])
+    @pytest.mark.parametrize("rng_key", [0, 0x0123456789ABCDEF, MASK64])
+    def test_matches_the_where_based_reference(self, dropout_q, n, dims, rng_key):
+        args = training_inputs(n, n, dims)
+        loss, dW, dB, dxi = _kernels.loss_and_grads(*args, 1e-3, dropout_q, rng_key, 1)
+        ref = reference_loss_and_grads(*args, 1e-3, dropout_q, rng_key)
+        assert loss == ref[0]
+        np.testing.assert_array_equal(dW, ref[1])
+        np.testing.assert_array_equal(dB, ref[2])
+        assert dxi == ref[3]
+
+
+class TestDropThreshold:
+    @settings(max_examples=300, deadline=None)
+    @given(q=probabilities)
+    @example(q=0.0)
+    @example(q=2**-53)
+    @example(q=5e-324)
+    def test_words_at_the_threshold_agree_with_the_float_draw(self, q):
+        # the threshold is where `(z >> 11) / 2**53 < q` flips, so check the
+        # words on both sides of it and at the ends of their 2**11-word runs
+        thr = int(_kernels.drop_threshold(q))
+        for z in (thr - 2049, thr - 2048, thr - 1, thr, thr + 2047, thr + 2048):
+            if 0 <= z <= MASK64:
+                u = float(z >> 11) * (1.0 / 9007199254740992.0)
+                assert (u < q) == (z < thr), (q, z, thr)

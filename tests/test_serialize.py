@@ -176,6 +176,8 @@ class TestRunArtifacts:
         ("0,0.5,0.9\n1,0.5,0.8\n1,1.0,0.1\n", "missing"),
         ("0,0.5,0.9\n7,0.5,0.8\n", "missing"),
         ("", "missing"),
+        ("0,0.5,-0.5\n", "probabilities"),
+        ("0,0.5,nan\n", "finite"),
     ])
     def test_predictions_reader_rejects_bad_rows(self, tmp_path, rows, message):
         path = tmp_path / "preds.csv"

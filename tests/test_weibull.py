@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammaln, psi
 
 from neuralscr.likelihood import joint_event_free_survival, observed_log_likelihood
 from neuralscr.simulate import SimConfig, simulate
 from neuralscr.weibull import (
     ParametricModel,
+    _initial_params,
+    _invariants,
     _loglik_and_grad,
     fit_parametric,
     predict_parametric,
@@ -41,6 +46,81 @@ class TestLoglikGrad:
             lm, _ = _loglik_and_grad(params - e, ds)
             num = (lp - lm) / 2e-6
             assert grad[j] == pytest.approx(num, rel=2e-5, abs=1e-6)
+
+
+def reference_loglik_and_grad(params, dataset):
+    """The objective with every parameter-free piece recomputed per call."""
+    p = dataset.p
+    log_phi = params[:6].reshape(3, 2)
+    beta = params[6:6 + 3 * p].reshape(3, p)
+    log_theta = params[-1]
+    phi = np.exp(log_phi)
+    inv_t = 1.0 / math.exp(log_theta)
+    d1, d2 = dataset.delta1, dataset.delta2
+    tr = dataset.transitions
+    ev, event_t = tr.event, tr.event_time
+    h = dataset.x @ beta.T if p else np.zeros((dataset.n, 3))
+    eh = np.exp(h)
+    lam, log_exp_t = [], []
+    for g in range(3):
+        tg = tr.exposure[g]
+        on = tr.at_risk[g] & (tg > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lt = np.where(on, np.log(np.maximum(tg, 1e-300)), 0.0)
+        lam.append(on * phi[g, 0] * np.exp(phi[g, 1] * lt))
+        log_exp_t.append(lt)
+    lam = np.array(lam)
+    a_tilde = inv_t + d1 + d2
+    b_tilde = inv_t + sum(lam[g] * eh[:, g] for g in range(3))
+    ll = np.sum(gammaln(a_tilde)) - dataset.n * (math.lgamma(inv_t) + inv_t * log_theta)
+    ll -= float(np.sum(a_tilde * np.log(b_tilde)))
+    for g in range(3):
+        mask = ev[g] > 0
+        if np.any(mask):
+            ll += float(np.sum(log_phi[g, 0] + log_phi[g, 1]
+                               + (phi[g, 1] - 1.0) * np.log(event_t[g][mask]) + h[mask, g]))
+    grad = np.zeros_like(params)
+    ab = a_tilde / b_tilde
+    for g in range(3):
+        w = ab * lam[g] * eh[:, g]
+        mask = ev[g] > 0
+        grad[2 * g] = float(np.sum(mask) - np.sum(w))
+        ev_part = 0.0
+        if np.any(mask):
+            ev_part = float(np.sum(1.0 + phi[g, 1] * np.log(event_t[g][mask])))
+        grad[2 * g + 1] = ev_part - float(np.sum(w * phi[g, 1] * log_exp_t[g]))
+        if p:
+            gb = dataset.x[mask].sum(axis=0) if np.any(mask) else np.zeros(p)
+            grad[6 + g * p: 6 + (g + 1) * p] = gb - dataset.x.T @ w
+    part = -psi(a_tilde) + psi(inv_t) + log_theta - 1.0 + np.log(b_tilde) + ab
+    grad[-1] = float(np.sum(part) * inv_t)
+    return float(ll), grad
+
+
+class TestHoistedInvariants:
+    """`fit_parametric` computes the objective's parameter-free pieces once;
+    every evaluation must still equal the recompute-everything formula."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_equal_to_the_per_call_formula(self, seed):
+        ds, _ = simulate(SimConfig(n=400, theta=0.7, risk_kind="linear",
+                                   censoring_target=0.3, seed=seed))
+        # the same subjects with no progression: transitions 1 and 3 have
+        # no events, so their event terms are empty
+        no_illness = ds.subset(np.flatnonzero(ds.delta1 == 0))
+        rng = np.random.default_rng(seed)
+        for data in (ds, no_illness):
+            inv = _invariants(data)
+            base = _initial_params(data)
+            for _ in range(20):
+                params = base + rng.normal(0.0, 0.3, size=base.shape)
+                ll, grad = _loglik_and_grad(params, data, inv)
+                ref_ll, ref_grad = reference_loglik_and_grad(params, data)
+                assert ll == ref_ll
+                np.testing.assert_array_equal(grad, ref_grad)
+                ll2, grad2 = _loglik_and_grad(params, data)
+                assert ll2 == ll
+                np.testing.assert_array_equal(grad2, grad)
 
 
 class TestFit:
