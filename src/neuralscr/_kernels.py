@@ -22,38 +22,66 @@ _MASK64 = (1 << 64) - 1
 # ---------------------------------------------------------------------------
 
 
+def step_rank(jump_times, t):
+    """The number of jump times <= t: t's slot in [0, cumsum(jump_sizes)...]."""
+    return np.searchsorted(jump_times, t, side="right")
+
+
 def step_cumulative(jump_times, padded_cum, t):
     """Lambda(t) for a right-continuous step function.
 
     padded_cum must be [0, cumsum(jump_sizes)...] so that index 0 encodes
     Lambda(t) = 0 before the first jump.
     """
-    idx = np.searchsorted(jump_times, t, side="right")
-    return padded_cum[idx]
+    return padded_cum[step_rank(jump_times, t)]
+
+
+def jump_slots(jump_times, t):
+    """(slot, hit): the position of each t among the (nonempty) jump times,
+    clipped to the last one, and whether t is exactly that jump time."""
+    n = jump_times.shape[0]
+    idx = np.searchsorted(jump_times, t, side="left")
+    slot = np.minimum(idx, n - 1)
+    hit = (idx < n) & (jump_times[slot] == t)
+    return slot, hit
+
+
+def jumps_at_slots(jump_sizes, slot, hit):
+    """Jump sizes at the `jump_slots` positions (0.0 off the jump times)."""
+    return np.where(hit, jump_sizes[slot], 0.0)
 
 
 def step_jump_at(jump_times, jump_sizes, t):
     """Jump size at exactly t (0.0 where t is not a jump time)."""
-    n = jump_times.shape[0]
-    idx = np.searchsorted(jump_times, t, side="left")
-    idx_c = np.minimum(idx, n - 1)
-    hit = (idx < n) & (jump_times[idx_c] == t)
-    return np.where(hit, jump_sizes[idx_c], 0.0)
+    return jumps_at_slots(jump_sizes, *jump_slots(jump_times, t))
 
 
 # ---------------------------------------------------------------------------
 # Breslow-type jump updates: one jump per distinct event time,
-# jump = event count / weighted at-risk sum.
+# jump = event count / weighted at-risk sum.  The index depends on the data
+# alone; only the weights change between EM iterations.
 # ---------------------------------------------------------------------------
 
 
-def breslow_jumps(event_times, at_risk_times, at_risk_weights):
-    u, counts = np.unique(event_times, return_counts=True)
+def breslow_index(event_times, at_risk_times):
+    """(times, counts, order, start): the distinct event times and their
+    counts, the at-risk positions sorted by time, and per event time the
+    first sorted position still at risk."""
+    times, counts = np.unique(event_times, return_counts=True)
     order = np.argsort(at_risk_times)
-    rt = at_risk_times[order]
+    start = np.searchsorted(at_risk_times[order], times, side="left")
+    return times, counts, order, start
+
+
+def breslow_apply(counts, order, start, at_risk_weights):
+    """Jump sizes for the `breslow_index` of the data at these weights."""
     csum = np.concatenate((np.zeros(1), np.cumsum(at_risk_weights[order])))
-    denom = csum[-1] - csum[np.searchsorted(rt, u, side="left")]
-    return u, counts / denom
+    return counts / (csum[-1] - csum[start])
+
+
+def breslow_jumps(event_times, at_risk_times, at_risk_weights):
+    times, counts, order, start = breslow_index(event_times, at_risk_times)
+    return times, breslow_apply(counts, order, start, at_risk_weights)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ with jumps at event times or two-parameter Weibull curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence, Union
@@ -79,6 +80,64 @@ class Transitions:
     at_risk: np.ndarray
 
 
+@dataclass(frozen=True)
+class EventGrid:
+    """One transition's distinct event times and the data's fixed positions
+    on them; every array is read-only.
+
+    A Breslow (M-step) baseline jumps exactly at `times`, so its update and
+    its lookups at the data are gathers through these positions, and no EM
+    iteration sorts or searches.  times, counts: the distinct event times and
+    their event counts.  order, start: the at-risk subjects sorted by
+    exposure time, and per event time the first position in `order` still at
+    risk.  rank: the number of event times <= each subject's exposure time.
+    slot, hit: each subject's event time as a position in `times`, and
+    whether it is exactly that time.
+    """
+
+    times: np.ndarray
+    counts: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+    rank: np.ndarray
+    slot: np.ndarray
+    hit: np.ndarray
+
+    def breslow(self, weights: np.ndarray) -> np.ndarray:
+        """Breslow jumps at `times` for per-subject weights, shape (n,)."""
+        return _kernels.breslow_apply(self.counts, self.order, self.start, weights)
+
+    def _check(self, hazard: StepHazard) -> None:
+        if not np.array_equal(hazard.jump_times, self.times):
+            raise ValueError("the baseline does not jump at this transition's event times")
+
+    def cumulative(self, hazard: StepHazard) -> np.ndarray:
+        """`hazard.cumulative` at every subject's exposure time."""
+        self._check(hazard)
+        return hazard.padded_cum[self.rank]
+
+    def hazard_at(self, hazard: StepHazard) -> np.ndarray:
+        """`hazard.hazard_at` at every subject's event time."""
+        self._check(hazard)
+        if len(self.times) == 0:
+            return np.zeros(len(self.hit))
+        return _kernels.jumps_at_slots(hazard.jump_sizes, self.slot, self.hit)
+
+
+def _event_grid(event, event_time, exposure, at_risk) -> EventGrid:
+    risk = np.flatnonzero(at_risk)
+    times, counts, order, start = _kernels.breslow_index(event_time[event > 0], exposure[risk])
+    if len(times):
+        slot, hit = _kernels.jump_slots(times, event_time)
+    else:
+        slot, hit = np.zeros(len(event_time), dtype=np.intp), np.zeros(len(event_time), dtype=bool)
+    grid = EventGrid(times=times, counts=counts, order=risk[order], start=start,
+                     rank=_kernels.step_rank(times, exposure), slot=slot, hit=hit)
+    for arr in vars(grid).values():
+        arr.flags.writeable = False
+    return grid
+
+
 class Dataset:
     """Columnar view of a set of :class:`ObservedRecord`.
 
@@ -124,6 +183,13 @@ class Dataset:
         for arr in vars(view).values():
             arr.flags.writeable = False
         return view
+
+    @cached_property
+    def event_grids(self) -> tuple[EventGrid, EventGrid, EventGrid]:
+        """Each transition's :class:`EventGrid`, built once per dataset."""
+        tr = self.transitions
+        return tuple(_event_grid(*rows) for rows in
+                     zip(tr.event, tr.event_time, tr.exposure, tr.at_risk))
 
     @classmethod
     def from_records(cls, records: Sequence[ObservedRecord]) -> "Dataset":
@@ -215,16 +281,19 @@ class StepHazard:
         js = np.asarray(jump_sizes, dtype=float).copy()
         if jt.shape != js.shape or jt.ndim != 1:
             raise ValueError("jump_times and jump_sizes must be 1-D and equal length")
-        if len(jt) and np.any(np.diff(jt) <= 0):
+        # each check must hold, so a NaN fails it
+        if not (np.all(np.isfinite(jt)) and np.all(np.isfinite(js))):
+            raise ValueError("jump_times and jump_sizes must be finite")
+        if not np.all(np.diff(jt) > 0):
             raise ValueError("jump_times must be strictly increasing")
-        if np.any(js <= 0):
+        if not np.all(js > 0):
             raise ValueError("jump_sizes must be positive")
-        if len(jt) and jt[0] <= 0:
+        if len(jt) and not jt[0] > 0:
             raise ValueError("jump times must be positive")
         self.jump_times = jt
         self.jump_sizes = js
-        self._padded_cum = np.concatenate(([0.0], np.cumsum(js)))
-        for arr in (self.jump_times, self.jump_sizes, self._padded_cum):
+        self.padded_cum = np.concatenate(([0.0], np.cumsum(js)))
+        for arr in (self.jump_times, self.jump_sizes, self.padded_cum):
             arr.flags.writeable = False
 
     @classmethod
@@ -233,7 +302,7 @@ class StepHazard:
 
     def cumulative(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _kernels.step_cumulative(self.jump_times, self._padded_cum, t_arr)
+        out = _kernels.step_cumulative(self.jump_times, self.padded_cum, t_arr)
         return out if np.ndim(t) else float(out[0])
 
     def hazard_at(self, t):
@@ -330,8 +399,8 @@ class ModelState:
     risk_model: object = field(default_factory=ZeroRisk)
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValueError("theta must be finite and positive")
 
     @property
     def baselines(self):

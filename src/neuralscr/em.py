@@ -25,7 +25,7 @@ from scipy.optimize import minimize_scalar
 from . import _kernels
 from .core import Dataset, LinearRisk, ModelState, NonFiniteLikelihoodError, StepHazard, ZeroRisk
 from .frailty import FrailtyPosterior, e_step, posterior  # noqa: F401 (posterior re-exported)
-from .likelihood import SubjectTerms, evaluate_terms, event_log_terms, marginal_log_likelihood
+from .likelihood import SubjectTerms, evaluate_grid_terms, evaluate_terms, marginal_log_likelihood
 
 LOG_THETA_BOUNDS = (math.log(1e-4), math.log(100.0))
 
@@ -76,7 +76,7 @@ def expected_log_likelihood(dataset: Dataset, terms: SubjectTerms,
         raise ValueError("posteriors are not aligned with the dataset")
     egam = posteriors.mean
     elog = posteriors.log_mean
-    events = np.sum(event_log_terms(dataset.transitions.event, terms.haz, terms.h.T), axis=1)
+    events = np.sum(terms.event_terms, axis=1)
     survival = np.sum(egam * terms.lam * terms.eh.T, axis=1)
     q1 = float(np.sum(dataset.delta1 * elog) + events[0] - survival[0])
     q2 = float(np.sum(dataset.delta2 * elog) + events[1] - survival[1])
@@ -98,10 +98,11 @@ def q4_value(log_theta: float, egam: np.ndarray, elog: np.ndarray) -> float:
 
 def maximize_q4_theta(posteriors: FrailtyPosterior) -> float:
     """Bounded 1-D maximization of Q4 over log(theta)."""
-    egam = posteriors.mean
-    elog = posteriors.log_mean
+    nf = float(len(posteriors.mean))
+    sum_elog = np.sum(posteriors.log_mean)
+    sum_egam = np.sum(posteriors.mean)
     res = minimize_scalar(
-        lambda xi: -q4_value(xi, egam, elog),
+        lambda xi: -float(_kernels.q4(nf, xi, sum_elog, sum_egam)),
         bounds=LOG_THETA_BOUNDS,
         method="bounded",
         options={"xatol": 1e-10},
@@ -114,21 +115,18 @@ def breslow_baselines(dataset: Dataset, weights: np.ndarray):
 
     `weights` (n, 3) holds each subject's E[gamma] e^{h_g}.  For each observed
     transition-g event time t the new jump is the event count at t over the
-    weighted sum of the transition's risk set at t (``Dataset.transitions``);
-    ties share a single jump.
+    weighted sum of the transition's risk set at t; ties share a single jump.
+    The event times and risk sets come sorted from ``Dataset.event_grids``.
     """
-    tr = dataset.transitions
     out = []
-    for g in range(3):
-        ev_times = tr.event_time[g][tr.event[g] > 0]
-        if len(ev_times) == 0:
+    for g, grid in enumerate(dataset.event_grids):
+        if len(grid.times) == 0:
             out.append(StepHazard.empty())
             continue
-        risk = tr.at_risk[g]
-        times, jumps = _kernels.breslow_jumps(ev_times, tr.exposure[g][risk], weights[risk, g])
+        jumps = grid.breslow(weights[:, g])
         if not np.all(np.isfinite(jumps)) or np.any(jumps <= 0):
             raise EmptyRiskSetError("empty weighted risk set at an event time")
-        out.append(StepHazard(times, jumps))
+        out.append(StepHazard(grid.times, jumps))
     return tuple(out)
 
 
@@ -140,6 +138,16 @@ def m_step(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState):
 def nelson_aalen_seed(dataset: Dataset):
     """Unadjusted Nelson-Aalen estimates per transition (unit frailty, h = 0)."""
     return breslow_baselines(dataset, np.ones((dataset.n, 3)))
+
+
+def parametric_theta_seed(dataset: Dataset) -> float:
+    """theta of a one-start Weibull fit, the EM seed of the linear and neural
+    specs.  Jittered restarts move that optimum by rounding only, so they are
+    left to the ``parametric`` model kind."""
+    # looked up at call time, so a wrapper put on weibull.fit_parametric sees it
+    from .weibull import fit_parametric
+
+    return fit_parametric(dataset, restarts=1).theta
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +185,7 @@ class LinearRiskSpec:
     def initial_theta(self, dataset: Dataset) -> float:
         if self.theta_init is not None:
             return self.theta_init
-        from .weibull import fit_parametric
-
-        return fit_parametric(dataset).theta
+        return parametric_theta_seed(dataset)
 
     def initial_risk_model(self, dataset: Dataset, rng):
         return LinearRisk(np.zeros((3, dataset.p)))
@@ -187,30 +193,36 @@ class LinearRiskSpec:
     def update(self, dataset, terms, posteriors, state, config, iteration):
         x = dataset.x
         beta = np.array(state.risk_model.beta, dtype=float)
-        lam = terms.lam
-        evs = dataset.transitions.event
-
-        def q_part(g, b):
-            # beta-dependent piece of Q_g (concave in b)
-            with np.errstate(over="ignore"):
-                val = np.sum(evs[g] * (x @ b)) - np.sum(
-                    posteriors.mean * lam[g] * np.exp(x @ b)
-                )
-            return val if np.isfinite(val) else -np.inf
-
+        ridge = self.ridge * np.eye(dataset.p)
         for g in range(3):
+            ev = dataset.transitions.event[g]
+            scale = posteriors.mean * terms.lam[g]
+
+            def q_part(b):
+                # beta-dependent piece of Q_g (concave in b), and e^{x'b}
+                xb = x @ b
+                with np.errstate(over="ignore"):
+                    eb = np.exp(xb)
+                    val = np.sum(ev * xb) - np.sum(scale * eb)
+                return (val if np.isfinite(val) else -np.inf), eb
+
+            current, eb = q_part(beta[g])
             for _ in range(self.newton_steps):
-                w = posteriors.mean * lam[g] * np.exp(x @ beta[g])
-                grad = x.T @ (evs[g] - w)
-                hess = (x * w[:, None]).T @ x + self.ridge * np.eye(dataset.p)
+                w = scale * eb
+                grad = x.T @ (ev - w)
+                hess = (x * w[:, None]).T @ x + ridge
                 step = np.linalg.solve(hess, grad)
-                # halve until Q_g does not decrease (Newton can overshoot)
-                current = q_part(g, beta[g])
+                # halve until Q_g does not decrease (Newton can overshoot);
+                # the accepted trial is evaluated at the next iterate
                 for _ in range(30):
-                    if q_part(g, beta[g] + step) >= current:
+                    trial = q_part(beta[g] + step)
+                    if trial[0] >= current:
                         break
                     step *= 0.5
+                else:
+                    trial = q_part(beta[g] + step)
                 beta[g] += step
+                current, eb = trial
         theta = maximize_q4_theta(posteriors)
         return LinearRisk(beta), theta
 
@@ -261,7 +273,7 @@ def run_em(
     iteration = 0
     # the baselines change only in the M-step and h only in the N-step, so
     # each is looked up once per iteration and every step reads these terms
-    terms = evaluate_terms(dataset, state)
+    terms = evaluate_grid_terms(dataset, state)
     for iteration in range(1, config.max_iterations + 1):
         post = e_step(dataset, terms, state.theta)
         b1, b2, b3 = breslow_baselines(dataset, post.mean[:, None] * terms.eh)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -34,15 +35,17 @@ class SubjectTerms:
     h, eh: (n, 3) log-risks and exp(h), one evaluation of the risk model.
     lam, haz: (3, n) baseline lookups at the data -- lam[g] is Lambda_0g at
     transition g+1's exposure time, zero off its risk set, and haz[g] the
-    event-term weight at its event time (see ``Dataset.transitions``).  An EM
-    iteration refreshes the two halves apart: the baselines after the
-    M-step, the risk values after the N-step.
+    event-term weight at its event time.  event: the dataset's (3, n) event
+    indicators (see ``Dataset.transitions``).  An EM iteration refreshes the
+    two halves apart: the baselines after the M-step, the risk values after
+    the N-step.
     """
 
     h: np.ndarray
     eh: np.ndarray
     lam: np.ndarray
     haz: np.ndarray
+    event: np.ndarray
 
     @property
     def b_tilde_sum(self) -> np.ndarray:
@@ -50,9 +53,16 @@ class SubjectTerms:
         lam, eh = self.lam, self.eh
         return lam[0] * eh[:, 0] + lam[1] * eh[:, 1] + lam[2] * eh[:, 2]
 
+    @cached_property
+    def event_terms(self) -> np.ndarray:
+        """:func:`event_log_terms` at these terms, (3, n), computed once."""
+        return event_log_terms(self.event, self.haz, self.h.T)
+
     def with_baselines(self, dataset: Dataset, state: ModelState) -> "SubjectTerms":
-        """These terms with the baselines of `state` looked up at the data."""
-        return replace(self, **_baseline_lookups(dataset, state))
+        """These terms with the M-step baselines of `state` -- step functions
+        jumping at the dataset's event times -- looked up through
+        ``Dataset.event_grids``."""
+        return replace(self, **_grid_lookups(dataset, state))
 
     def with_risk(self, dataset: Dataset, state: ModelState) -> "SubjectTerms":
         """These terms with the risk model of `state` evaluated at the data."""
@@ -66,13 +76,28 @@ def _baseline_lookups(dataset: Dataset, state: ModelState) -> dict:
     return {"lam": cumulative * tr.at_risk, "haz": jumps}
 
 
+def _grid_lookups(dataset: Dataset, state: ModelState) -> dict:
+    grids = dataset.event_grids
+    cumulative = np.array([grid.cumulative(b) for grid, b in zip(grids, state.baselines)])
+    jumps = np.array([grid.hazard_at(b) for grid, b in zip(grids, state.baselines)])
+    return {"lam": cumulative * dataset.transitions.at_risk, "haz": jumps}
+
+
 def _risk_values(dataset: Dataset, state: ModelState) -> dict:
     h = state.risk_values(dataset.x)
     return {"h": h, "eh": np.exp(h)}
 
 
 def evaluate_terms(dataset: Dataset, state: ModelState) -> SubjectTerms:
-    return SubjectTerms(**_risk_values(dataset, state), **_baseline_lookups(dataset, state))
+    return SubjectTerms(**_risk_values(dataset, state), **_baseline_lookups(dataset, state),
+                        event=dataset.transitions.event)
+
+
+def evaluate_grid_terms(dataset: Dataset, state: ModelState) -> SubjectTerms:
+    """:func:`evaluate_terms` for M-step baselines (see
+    :meth:`SubjectTerms.with_baselines`)."""
+    return SubjectTerms(**_risk_values(dataset, state), **_grid_lookups(dataset, state),
+                        event=dataset.transitions.event)
 
 
 def event_log_terms(ev: np.ndarray, haz: np.ndarray, h) -> np.ndarray:
@@ -110,7 +135,7 @@ def complete_data_log_likelihood(dataset: Dataset, gamma, state: ModelState) -> 
     ll = (
         log_gamma_prior
         + (dataset.delta1 + dataset.delta2) * np.log(gamma)
-        + np.sum(event_log_terms(dataset.transitions.event, terms.haz, terms.h.T), axis=0)
+        + np.sum(terms.event_terms, axis=0)
         - gamma * terms.b_tilde_sum
     )
     return float(np.sum(ll))
@@ -191,7 +216,7 @@ def marginal_log_likelihood(dataset: Dataset, terms: SubjectTerms, theta: float)
         - math.lgamma(inv_t)
         - inv_t * math.log(theta)
         - a_tilde * np.log(b_tilde)
-        + np.sum(event_log_terms(dataset.transitions.event, terms.haz, terms.h.T), axis=0)
+        + np.sum(terms.event_terms, axis=0)
     )
     return float(np.sum(ll))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Dataset, ModelState
-from .em import EMConfig, q_function
+from .em import EMConfig, parametric_theta_seed, q_function
 from .frailty import FrailtyPosterior
 from .likelihood import SubjectTerms, evaluate_terms, event_log_terms
 
@@ -270,9 +270,7 @@ class NeuralRiskSpec:
     def initial_theta(self, dataset: Dataset) -> float:
         if self.theta_init is not None:
             return self.theta_init
-        from .weibull import fit_parametric
-
-        return fit_parametric(dataset).theta
+        return parametric_theta_seed(dataset)
 
     def initial_risk_model(self, dataset: Dataset, rng):
         nets = [

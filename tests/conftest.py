@@ -13,6 +13,15 @@ def random_step_hazard(rng, max_jumps=12, t_max=3.0):
     return StepHazard(times, sizes)
 
 
+def reference_breslow_jumps(event_times, at_risk_times, at_risk_weights):
+    """The Breslow update in one shot: sort, cumulate and search per call."""
+    u, counts = np.unique(event_times, return_counts=True)
+    order = np.argsort(at_risk_times)
+    rt = at_risk_times[order]
+    csum = np.concatenate((np.zeros(1), np.cumsum(at_risk_weights[order])))
+    return u, counts / (csum[-1] - csum[np.searchsorted(rt, u, side="left")])
+
+
 def random_dataset(rng, n=50, p=2, censoring=0.3):
     """Small valid dataset with all four observation cases represented."""
     x = rng.standard_normal((n, p)) if p else np.zeros((n, 0))

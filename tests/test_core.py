@@ -3,6 +3,7 @@ import pytest
 
 from neuralscr.core import (
     DatasetValidationError,
+    ModelState,
     ObservedRecord,
     StepHazard,
     WeibullHazard,
@@ -125,6 +126,21 @@ class TestStepHazard:
         with pytest.raises(ValueError):
             StepHazard([0.0], [0.1])
 
+    @pytest.mark.parametrize("times, sizes", [
+        ([0.5, np.nan], [np.nan, 0.2]),
+        ([0.5, np.nan], [0.1, 0.2]),
+        ([np.nan, 0.5], [0.1, 0.2]),
+        ([np.nan], [0.1]),
+        ([0.5, 1.0], [0.1, np.nan]),
+        ([0.5, np.inf], [0.1, 0.2]),
+        ([0.5, 1.0], [0.1, np.inf]),
+        ([-np.inf, 1.0], [0.1, 0.2]),
+    ])
+    def test_rejects_nonfinite_jumps(self, times, sizes):
+        # the checks must hold, so a NaN that compares False fails them too
+        with pytest.raises(ValueError):
+            StepHazard(times, sizes)
+
     def test_monotone_right_continuous_property(self):
         # random jump sets: Lambda nondecreasing, right-continuous, 0 before support
         rng = np.random.default_rng(7)
@@ -142,6 +158,18 @@ class TestStepHazard:
         hz = StepHazard([1.0], [0.5])
         with pytest.raises(ValueError):
             hz.jump_times[0] = 2.0
+
+
+class TestModelState:
+    @pytest.mark.parametrize("theta", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_theta_that_is_not_finite_and_positive(self, theta):
+        hz = StepHazard([1.0], [0.5])
+        with pytest.raises(ValueError):
+            ModelState(hz, hz, hz, theta=theta)
+
+    def test_accepts_a_positive_theta(self):
+        hz = StepHazard([1.0], [0.5])
+        assert ModelState(hz, hz, hz, theta=1e-300).theta == 1e-300
 
 
 class TestWeibullHazard:

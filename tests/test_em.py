@@ -1,10 +1,17 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from neuralscr.core import Dataset, ModelState, StepHazard, ZeroRisk
+from neuralscr import _kernels, em, likelihood
+from neuralscr.core import (
+    Dataset, EventGrid, LinearRisk, ModelState, StepHazard, ZeroRisk, validate_dataset,
+)
 from neuralscr.em import (
     EMConfig,
     FixedRiskSpec,
@@ -13,14 +20,16 @@ from neuralscr.em import (
     m_step,
     maximize_q4_theta,
     nelson_aalen_seed,
+    q4_value,
     q_function,
     run_em,
 )
 from neuralscr.frailty import FrailtyPosterior, posterior
-from neuralscr.likelihood import complete_data_log_likelihood
+from neuralscr.likelihood import SubjectTerms, complete_data_log_likelihood
+from neuralscr.neural import NeuralRiskSpec, TrainConfig
 from neuralscr.simulate import SimConfig, simulate
 
-from conftest import event_anchored_state, random_dataset
+from conftest import event_anchored_state, random_dataset, reference_breslow_jumps
 
 
 def unit_posterior(n):
@@ -243,7 +252,7 @@ class TestRunEM:
         ds, _ = linear_sim_small
         from neuralscr.weibull import fit_parametric
 
-        expected = fit_parametric(ds).theta
+        expected = fit_parametric(ds, restarts=1).theta
         spec = LinearRiskSpec()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -265,22 +274,25 @@ class TestRunEM:
         )
 
     def test_one_baseline_lookup_and_one_risk_evaluation_per_iteration(self, monkeypatch):
-        from neuralscr.core import LinearRisk
+        calls = {"cumulative": 0, "hazard_at": 0, "grid.cumulative": 0, "grid.hazard_at": 0,
+                 "values": 0, "breslow_index": 0, "event_log_terms": 0}
 
-        calls = {"cumulative": 0, "hazard_at": 0, "values": 0}
-
-        def counted(owner, name):
+        def counted(owner, name, key=None):
             original = getattr(owner, name)
 
-            def wrapper(self, *args):
-                calls[name] += 1
-                return original(self, *args)
+            def wrapper(*args):
+                calls[key or name] += 1
+                return original(*args)
 
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(StepHazard, "cumulative")
         counted(StepHazard, "hazard_at")
+        counted(EventGrid, "cumulative", "grid.cumulative")
+        counted(EventGrid, "hazard_at", "grid.hazard_at")
         counted(LinearRisk, "values")
+        counted(_kernels, "breslow_index")
+        counted(likelihood, "event_log_terms")
         ds = random_dataset(np.random.default_rng(8), n=60, p=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -289,8 +301,38 @@ class TestRunEM:
         k = res.n_iterations
         assert k == 4
         # per iteration: the three baselines at the data once after the M-step
-        # and h once after the N-step; the seeding evaluation adds one of each
-        assert calls == {"cumulative": 3 * k + 3, "hazard_at": 3 * k + 3, "values": k + 1}
+        # and h once after the N-step; the seeding evaluation adds one of each.
+        # The lookups go through the event grids, which are indexed once per
+        # dataset (one breslow_index per transition), not once per iteration;
+        # the observed and expected log likelihoods share one event-term pass.
+        assert calls == {"cumulative": 0, "hazard_at": 0,
+                         "grid.cumulative": 3 * k + 3, "grid.hazard_at": 3 * k + 3,
+                         "values": k + 1, "breslow_index": 3, "event_log_terms": k}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_em(ds, LinearRiskSpec(theta_init=0.8),
+                   EMConfig(max_iterations=2, tolerance=1e-300, seed=0))
+        assert calls["breslow_index"] == 3
+
+    @pytest.mark.parametrize("kind, pairs", [("linear", 1), ("neural", 1), ("parametric", 3)])
+    def test_theta_seed_is_one_optimizer_start(self, monkeypatch, kind, pairs):
+        # EM specs seed theta from one L-BFGS-B run plus its BFGS polish;
+        # the parametric kind keeps its three restarts
+        from neuralscr import harness, weibull
+
+        methods = []
+        original = weibull.minimize
+
+        def counted(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(weibull, "minimize", counted)
+        ds = random_dataset(np.random.default_rng(9), n=60, p=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            harness.fit_model(ds, kind, EMConfig(max_iterations=1, n_step_epochs_per_iteration=1))
+        assert methods == ["L-BFGS-B", "BFGS"] * pairs
 
     def test_theta_recovery_linear_em(self):
         # desk-scale replication: simulated linear data, theta 0.5,
@@ -309,9 +351,162 @@ class TestThetaUpdate:
             a_tilde=rng.uniform(1, 5, 40), b_tilde=rng.uniform(1, 5, 40),
             mean=rng.uniform(0.4, 2.0, 40), log_mean=rng.normal(-0.2, 0.4, 40),
         )
-        from neuralscr.em import q4_value
-
         best = maximize_q4_theta(post)
         grid = np.exp(np.linspace(math.log(1e-4), math.log(100), 4000))
         vals = [q4_value(math.log(t), post.mean, post.log_mean) for t in grid]
         assert q4_value(math.log(best), post.mean, post.log_mean) >= max(vals) - 1e-6
+
+
+@st.composite
+def tied_datasets(draw, max_n=30):
+    """Valid censored illness-death data on a coarse time grid (ties among
+    event and exposure times); `progression=False` leaves transitions 1
+    and 3 without events."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    progression = draw(st.booleans())
+    t1 = rng.integers(1, 9, n) * 0.25
+    soj = rng.integers(1, 6, n) * 0.25
+    t2_direct = rng.integers(1, 9, n) * 0.25
+    c = rng.integers(1, 11, n) * 0.25
+    prog = (t1 < t2_direct) & progression
+    t_death = np.where(prog, t1 + soj, t2_direct)
+    y2 = np.minimum(t_death, c)
+    d2 = (t_death <= c).astype(float)
+    y1 = np.minimum(np.where(prog, t1, np.inf), y2)
+    d1 = (prog & (t1 <= y2)).astype(float)
+    return validate_dataset(Dataset(y1, d1, y2, d2, rng.standard_normal((n, 2))))
+
+
+def reference_breslow_baselines(dataset, weights):
+    """The M-step through per-call sorting and searching."""
+    tr = dataset.transitions
+    out = []
+    for g in range(3):
+        ev_times = tr.event_time[g][tr.event[g] > 0]
+        if len(ev_times) == 0:
+            out.append(StepHazard.empty())
+            continue
+        risk = tr.at_risk[g]
+        out.append(StepHazard(*reference_breslow_jumps(
+            ev_times, tr.exposure[g][risk], weights[risk, g])))
+    return tuple(out)
+
+
+def reference_linear_update(self, dataset, terms, posteriors, state, config, iteration):
+    """The linear N-step re-evaluating Q_g, e^{x'b} and the posterior sums
+    at every use."""
+    x = dataset.x
+    beta = np.array(state.risk_model.beta, dtype=float)
+    lam = terms.lam
+    evs = dataset.transitions.event
+
+    def q_part(g, b):
+        with np.errstate(over="ignore"):
+            val = np.sum(evs[g] * (x @ b)) - np.sum(posteriors.mean * lam[g] * np.exp(x @ b))
+        return val if np.isfinite(val) else -np.inf
+
+    for g in range(3):
+        for _ in range(self.newton_steps):
+            w = posteriors.mean * lam[g] * np.exp(x @ beta[g])
+            grad = x.T @ (evs[g] - w)
+            hess = (x * w[:, None]).T @ x + self.ridge * np.eye(dataset.p)
+            step = np.linalg.solve(hess, grad)
+            current = q_part(g, beta[g])
+            for _ in range(30):
+                if q_part(g, beta[g] + step) >= current:
+                    break
+                step *= 0.5
+            beta[g] += step
+    res = minimize_scalar(lambda xi: -q4_value(xi, posteriors.mean, posteriors.log_mean),
+                          bounds=em.LOG_THETA_BOUNDS, method="bounded", options={"xatol": 1e-10})
+    return LinearRisk(beta), float(math.exp(res.x))
+
+
+def reference_lookups(self, dataset, state):
+    return replace(self, **likelihood._baseline_lookups(dataset, state))
+
+
+class TestEventGrids:
+    @settings(max_examples=100, deadline=None)
+    @given(ds=tied_datasets(), seed=st.integers(0, 2**32 - 1))
+    def test_grid_lookups_equal_the_per_call_ones(self, ds, seed):
+        weights = np.random.default_rng(seed).uniform(0.1, 3.0, size=(ds.n, 3))
+        tr = ds.transitions
+        for g, (grid, hz, ref) in enumerate(zip(ds.event_grids,
+                                                em.breslow_baselines(ds, weights),
+                                                reference_breslow_baselines(ds, weights))):
+            np.testing.assert_array_equal(hz.jump_times, ref.jump_times)
+            np.testing.assert_array_equal(hz.jump_sizes, ref.jump_sizes)
+            np.testing.assert_array_equal(grid.cumulative(hz), hz.cumulative(tr.exposure[g]))
+            np.testing.assert_array_equal(grid.hazard_at(hz), hz.hazard_at(tr.event_time[g]))
+
+    def test_grid_rejects_a_baseline_off_its_event_times(self):
+        ds = random_dataset(np.random.default_rng(3), n=40)
+        grid = ds.event_grids[0]
+        shifted = StepHazard(grid.times + 1e-3, np.ones(len(grid.times)))
+        with pytest.raises(ValueError):
+            grid.cumulative(shifted)
+        with pytest.raises(ValueError):
+            grid.hazard_at(shifted)
+
+    def test_grids_are_cached_and_read_only(self):
+        ds = random_dataset(np.random.default_rng(4), n=40)
+        assert ds.event_grids is ds.event_grids
+        with pytest.raises(ValueError):
+            ds.event_grids[2].rank[0] = 1
+
+    @staticmethod
+    def fit(ds, spec, k):
+        config = EMConfig(max_iterations=k, tolerance=1e-300, n_step_epochs_per_iteration=3, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                res = run_em(ds, spec, config)
+            except (ArithmeticError, ValueError) as err:
+                return type(err).__name__
+        rm = res.state.risk_model
+        params = [rm.beta] if hasattr(rm, "beta") else [rm.W, rm.B]
+        return (res.trace_rows(), res.state.theta,
+                [b.jump_sizes for b in res.state.baselines], params)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ds=tied_datasets(), neural=st.booleans(), k=st.integers(1, 4))
+    @example(ds=random_dataset(np.random.default_rng(8), n=60), neural=True, k=3)
+    def test_run_em_equals_the_per_call_reference(self, ds, neural, k):
+        # the reference sorts and searches in every M-step and lookup, and
+        # its linear N-step re-evaluates what the line search already has
+        if neural:
+            spec = NeuralRiskSpec(TrainConfig(dropout_fraction=0.1, hidden_layers=1, nodes=4,
+                                              seed=2), theta_init=0.7)
+        else:
+            spec = LinearRiskSpec(theta_init=0.7)
+        fast = self.fit(ds, spec, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(em, "breslow_baselines", reference_breslow_baselines)
+            mp.setattr(em, "evaluate_grid_terms", likelihood.evaluate_terms)
+            mp.setattr(SubjectTerms, "with_baselines", reference_lookups)
+            mp.setattr(LinearRiskSpec, "update", reference_linear_update)
+            slow = self.fit(ds, spec, k)
+        self.assert_same(fast, slow)
+
+    def test_linear_update_equals_the_reference_when_line_searches_run_out(self):
+        # a negative ridge makes every Newton direction a descent direction,
+        # so all 30 halvings fail and the last halved step is taken untried
+        ds = random_dataset(np.random.default_rng(8), n=60)
+        spec = LinearRiskSpec(ridge=-100.0, theta_init=0.7)
+        fast = self.fit(ds, spec, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LinearRiskSpec, "update", reference_linear_update)
+            slow = self.fit(ds, spec, 2)
+        self.assert_same(fast, slow)
+
+    @staticmethod
+    def assert_same(fast, slow):
+        if isinstance(slow, str):
+            assert fast == slow
+            return
+        assert fast[0] == slow[0]
+        assert fast[1] == slow[1]
+        for a, b in zip(fast[2] + fast[3], slow[2] + slow[3]):
+            np.testing.assert_array_equal(a, b)

@@ -1,4 +1,8 @@
-"""Bit-identity oracles for the N-step kernels.
+"""Bit-identity oracles for the step-function, Breslow and N-step kernels.
+
+The step-function and Breslow kernels split into an index step, which
+depends on the data alone, and an apply step; the references below do the
+whole lookup or update in one shot.
 
 The kernels mix the splitmix64 stream in place, draw dropout masks by
 comparing the mixed words against an integer threshold, gate the relu
@@ -19,6 +23,8 @@ from hypothesis import strategies as st
 from scipy.special import psi
 
 from neuralscr import _kernels
+
+from conftest import reference_breslow_jumps
 
 MASK64 = (1 << 64) - 1
 
@@ -172,3 +178,59 @@ class TestDropThreshold:
             if 0 <= z <= MASK64:
                 u = float(z >> 11) * (1.0 / 9007199254740992.0)
                 assert (u < q) == (z < thr), (q, z, thr)
+
+
+def reference_cumulative(jump_times, jump_sizes, t):
+    return np.concatenate(([0.0], np.cumsum(jump_sizes)))[np.searchsorted(jump_times, t, "right")]
+
+
+def reference_jump_at(jump_times, jump_sizes, t):
+    idx = np.searchsorted(jump_times, t, side="left")
+    out = np.zeros(len(t))
+    for i, k in enumerate(idx):
+        if k < len(jump_times) and jump_times[k] == t[i]:
+            out[i] = jump_sizes[k]
+    return out
+
+
+# times on a coarse grid, so events tie with each other and with exposures
+ticks = st.integers(min_value=0, max_value=12).map(lambda k: 0.25 * k)
+
+
+class TestEventIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(ticks, max_size=30),
+           at_risk=st.lists(st.tuples(ticks, st.floats(0.01, 10.0)), min_size=1, max_size=40))
+    @example(events=[], at_risk=[(0.5, 1.0)])
+    @example(events=[0.5, 0.5, 1.0], at_risk=[(0.5, 1.0), (0.25, 2.0), (1.0, 0.5), (1.0, 3.0)])
+    def test_breslow_index_then_apply(self, events, at_risk):
+        rt = np.array([t for t, _ in at_risk])
+        w = np.array([v for _, v in at_risk])
+        # as in data, someone is at risk at every event time
+        ev = np.array([t for t in events if t <= rt.max()])
+        times, counts, order, start = _kernels.breslow_index(ev, rt)
+        ref_times, ref_jumps = reference_breslow_jumps(ev, rt, w)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(_kernels.breslow_apply(counts, order, start, w), ref_jumps)
+        composed = _kernels.breslow_jumps(ev, rt, w)
+        np.testing.assert_array_equal(composed[0], ref_times)
+        np.testing.assert_array_equal(composed[1], ref_jumps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jumps=st.lists(st.tuples(ticks.filter(lambda t: t > 0), st.floats(0.01, 5.0)),
+                          min_size=1, max_size=12),
+           queries=st.lists(ticks, max_size=30))
+    @example(jumps=[(1.0, 0.5)], queries=[1.0])
+    def test_step_lookups_index_then_apply(self, jumps, queries):
+        jt, first = np.unique([t for t, _ in jumps], return_index=True)
+        js = np.array([s for _, s in jumps])[first]
+        padded = np.concatenate(([0.0], np.cumsum(js)))
+        # before the first jump, on and between jumps, after the last one
+        t = np.concatenate(([-1.0, 0.0, jt[0], jt[-1], jt[-1] + 1e-9, 1e9], queries))
+        expected = reference_cumulative(jt, js, t)
+        np.testing.assert_array_equal(padded[_kernels.step_rank(jt, t)], expected)
+        np.testing.assert_array_equal(_kernels.step_cumulative(jt, padded, t), expected)
+        expected = reference_jump_at(jt, js, t)
+        slot, hit = _kernels.jump_slots(jt, t)
+        np.testing.assert_array_equal(_kernels.jumps_at_slots(js, slot, hit), expected)
+        np.testing.assert_array_equal(_kernels.step_jump_at(jt, js, t), expected)
