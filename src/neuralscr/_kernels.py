@@ -182,14 +182,25 @@ def mlp(layers, A, masks=None):
     return ins, zs
 
 
+def mlp_output(layers, A):
+    """:func:`mlp`'s network output, zs[-1][:, 0], keeping only the current
+    layer's activation alive; for deterministic passes, which need no
+    gradients."""
+    for l, (w, b) in enumerate(layers):
+        if l:
+            A = np.maximum(A, 0.0, out=A)
+        A = A @ w.T
+        A += b
+    return A[:, 0]
+
+
 def _with_reference_row(X):
     return np.concatenate((X, np.zeros((1, X.shape[1]))))
 
 
 def net_forward(W, B, dims, g, X):
     """Deterministic centered forward pass of sub-network g: (n,) output."""
-    _, zs = mlp(live_layers(W, B, dims, g), _with_reference_row(X))
-    out = zs[-1][:, 0]
+    out = mlp_output(live_layers(W, B, dims, g), _with_reference_row(X))
     return out[:-1] - out[-1]
 
 

@@ -1,6 +1,6 @@
 """EM engine: Q function, closed-form jump updates, seeding, and the driver.
 
-One outer iteration is E -> M -> N:
+One pass is E -> M -> N:
 
 * E: posterior frailty moments given the current parameters;
 * M: Breslow-type jump updates for the three baselines, in closed form;
@@ -8,8 +8,16 @@ One outer iteration is E -> M -> N:
   training for neural risk models, Newton steps for linear ones, a bounded
   1-D search on log(theta) when only theta moves.
 
+Linear-risk fits are accelerated with SQUAREM (scheme S3 of Varadhan &
+Roland 2008, Scand. J. Stat. 35:335): each cycle runs two plain passes,
+extrapolates along the two steps they took, and runs one stabilising pass
+from the extrapolated point, which it keeps only if the observed log
+likelihood does not fall.  Other fits run one plain pass per cycle.
+
 Convergence is declared on the relative change of the observed-data log
-likelihood, which is the quantity each E+M cycle provably does not decrease.
+likelihood between the ends of consecutive cycles; each E+M pass provably
+does not decrease it, and the safeguard keeps an accelerated cycle from
+decreasing it either.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import _kernels
 from .core import Dataset, LinearRisk, ModelState, NonFiniteLikelihoodError, StepHazard, ZeroRisk
@@ -98,6 +105,9 @@ def q4_value(log_theta: float, egam: np.ndarray, elog: np.ndarray) -> float:
 
 def maximize_q4_theta(posteriors: FrailtyPosterior) -> float:
     """Bounded 1-D maximization of Q4 over log(theta)."""
+    # imported here, so that predicting and scoring do not load scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     nf = float(len(posteriors.mean))
     sum_elog = np.sum(posteriors.log_mean)
     sum_egam = np.sum(posteriors.mean)
@@ -190,6 +200,14 @@ class LinearRiskSpec:
     def initial_risk_model(self, dataset: Dataset, rng):
         return LinearRisk(np.zeros((3, dataset.p)))
 
+    @staticmethod
+    def risk_coordinates(risk_model: LinearRisk):
+        """beta as a flat vector, and the map from such a vector back to a
+        risk model.  :func:`run_em` accelerates the fit of a spec with this
+        hook."""
+        shape = risk_model.beta.shape
+        return risk_model.beta.ravel(), lambda vec: LinearRisk(vec.reshape(shape))
+
     def update(self, dataset, terms, posteriors, state, config, iteration):
         x = dataset.x
         beta = np.array(state.risk_model.beta, dtype=float)
@@ -229,11 +247,19 @@ class LinearRiskSpec:
 
 @dataclass
 class EMResult:
+    """A finished fit.  trace: one row per kept pass, whose ``iter`` is the
+    pass number; n_iterations: every pass run, a rejected extrapolation's
+    included; stop_reason: ``"tolerance"`` or ``"cap"`` (max_iterations)."""
+
     state: ModelState
     trace: list
-    converged: bool
+    stop_reason: str
     n_iterations: int
     theta_init: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
     def trace_rows(self):
         """Rows for the iteration-trace CSV: iter, obs_loglik, theta, q1..q4."""
@@ -247,16 +273,73 @@ class NonConvergenceWarning(UserWarning):
     pass
 
 
+@dataclass(frozen=True)
+class _Point:
+    """A parameter state with its terms at the data; after a pass also the
+    pass's E-step posterior and the observed log likelihood at `state`."""
+
+    state: ModelState
+    terms: SubjectTerms
+    post: Optional[FrailtyPosterior] = None
+    loglik: float = math.nan
+
+
+def _em_pass(dataset, risk_spec, config, start: _Point, iteration: int) -> _Point:
+    """One E -> M -> N pass.  The baselines change only in the M-step and h
+    only in the N-step, so each is looked up once and every step reads
+    these terms."""
+    state, terms = start.state, start.terms
+    post = e_step(dataset, terms, state.theta)
+    b1, b2, b3 = breslow_baselines(dataset, post.mean[:, None] * terms.eh)
+    state = replace(state, lambda01=b1, lambda02=b2, lambda03=b3)
+    terms = terms.with_baselines(dataset, state)
+    risk_model, theta = risk_spec.update(dataset, terms, post, state, config, iteration)
+    state = replace(state, risk_model=risk_model, theta=theta)
+    terms = terms.with_risk(dataset, state)
+    return _Point(state, terms, post, marginal_log_likelihood(dataset, terms, state.theta))
+
+
+def _coordinates(point: _Point, risk_coordinates) -> np.ndarray:
+    """SQUAREM's parameter vector: the log jump sizes, the risk model's
+    coordinates and log theta."""
+    state = point.state
+    return np.concatenate([np.log(b.jump_sizes) for b in state.baselines]
+                          + [risk_coordinates(state.risk_model)[0], [math.log(state.theta)]])
+
+
+def _state_at(dataset: Dataset, coords: np.ndarray, unpack) -> ModelState:
+    """The state at SQUAREM coordinates: step baselines on the event grids,
+    log theta clipped to LOG_THETA_BOUNDS."""
+    grids = dataset.event_grids
+    cuts = np.cumsum([len(grid.times) for grid in grids])
+    log_jumps = np.split(coords[:cuts[-1]], cuts[:-1])
+    lo, hi = LOG_THETA_BOUNDS
+    return ModelState(
+        *(StepHazard(grid.times, np.exp(lj)) for grid, lj in zip(grids, log_jumps)),
+        theta=math.exp(min(max(float(coords[-1]), lo), hi)),
+        risk_model=unpack(coords[cuts[-1]:-1]),
+    )
+
+
 def run_em(
     dataset: Dataset,
     risk_spec,
     config: EMConfig = EMConfig(),
     theta_init: Optional[float] = None,
 ) -> EMResult:
-    """Run the E/M/N loop until the observed log likelihood stabilizes.
+    """Run E/M/N cycles until the observed log likelihood stabilizes.
 
     `risk_spec` supplies the N-step (see :class:`FixedRiskSpec`,
     :class:`LinearRiskSpec`, and the neural spec in :mod:`neuralscr.neural`).
+    A spec with a ``risk_coordinates`` hook (the linear one) is accelerated
+    by SQUAREM, scheme S3: from x0 a cycle runs x1 = F(x0), x2 = F(x1), sets
+    r = x1 - x0, v = x2 - x1 - r and alpha = min(-|r|/|v|, -1), and runs a
+    stabilising pass from x0 - 2 alpha r + alpha^2 v.  It keeps that pass
+    if its observed log likelihood is at least x2's and finite, and
+    otherwise halves alpha, to no less than -1, and tries again; at
+    alpha = -1 the cycle ends at x2.  Every other spec runs one pass per
+    cycle.  ``config.max_iterations`` caps the passes, rejected ones
+    included; the tolerance applies between the ends of consecutive cycles.
     """
     rng = np.random.default_rng(config.seed)
     theta0 = float(theta_init if theta_init is not None else risk_spec.initial_theta(dataset))
@@ -266,52 +349,76 @@ def run_em(
         theta=theta0,
         risk_model=risk_spec.initial_risk_model(dataset, rng),
     )
-
+    risk_coordinates = getattr(risk_spec, "risk_coordinates", None)
+    cap = config.max_iterations
     trace = []
-    prev_ll = None
-    converged = False
-    iteration = 0
-    # the baselines change only in the M-step and h only in the N-step, so
-    # each is looked up once per iteration and every step reads these terms
-    terms = evaluate_grid_terms(dataset, state)
-    for iteration in range(1, config.max_iterations + 1):
-        post = e_step(dataset, terms, state.theta)
-        b1, b2, b3 = breslow_baselines(dataset, post.mean[:, None] * terms.eh)
-        state = replace(state, lambda01=b1, lambda02=b2, lambda03=b3)
-        terms = terms.with_baselines(dataset, state)
-        risk_model, theta = risk_spec.update(dataset, terms, post, state, config, iteration)
-        state = replace(state, risk_model=risk_model, theta=theta)
-        terms = terms.with_risk(dataset, state)
+    passes = 0
 
-        ll = marginal_log_likelihood(dataset, terms, state.theta)
-        qv = expected_log_likelihood(dataset, terms, post, state.theta)
-        trace.append(
-            {
-                "iter": iteration,
-                "obs_loglik": ll,
-                "theta": state.theta,
-                "q1": qv.q1,
-                "q2": qv.q2,
-                "q3": qv.q3,
-                "q4": qv.q4,
-            }
-        )
-        if prev_ll is not None:
-            if abs(ll - prev_ll) <= config.tolerance * max(1.0, abs(prev_ll)):
-                converged = True
-                break
+    def run_pass(start: _Point) -> _Point:
+        nonlocal passes
+        passes += 1
+        return _em_pass(dataset, risk_spec, config, start, passes)
+
+    def keep(point: _Point) -> _Point:
+        qv = expected_log_likelihood(dataset, point.terms, point.post, point.state.theta)
+        trace.append({"iter": passes, "obs_loglik": point.loglik, "theta": point.state.theta,
+                      "q1": qv.q1, "q2": qv.q2, "q3": qv.q3, "q4": qv.q4})
+        return point
+
+    def extrapolate(x0: _Point, x1: _Point, x2: _Point) -> _Point:
+        nonlocal passes
+        c0, c1, c2 = (_coordinates(x, risk_coordinates) for x in (x0, x1, x2))
+        r = c1 - c0
+        v = c2 - c1 - r
+        norm_v = float(np.linalg.norm(v))
+        ratio = float(np.linalg.norm(r)) / norm_v if norm_v > 0 else math.nan
+        alpha = -ratio if 1.0 < ratio < math.inf else -1.0
+        unpack = risk_coordinates(x2.state.risk_model)[1]
+        while alpha < -1.0 and passes < cap:
+            # the attempt is a pass even when its point cannot be evaluated
+            passes += 1
+            coords = c0 - 2.0 * alpha * r + alpha * alpha * v
+            if np.all(np.isfinite(coords)):
+                try:
+                    with np.errstate(all="ignore"):
+                        state = _state_at(dataset, coords, unpack)
+                        start = _Point(state, evaluate_grid_terms(dataset, state))
+                        candidate = _em_pass(dataset, risk_spec, config, start, passes)
+                except (ArithmeticError, ValueError):
+                    pass
+                else:
+                    if math.isfinite(candidate.loglik) and candidate.loglik >= x2.loglik:
+                        return keep(candidate)
+            alpha = min(alpha / 2.0, -1.0)
+        return x2
+
+    point = _Point(state, evaluate_grid_terms(dataset, state))
+    prev_ll = None
+    stop_reason = "cap"
+    while passes < cap:
+        x0 = point
+        point = keep(run_pass(x0))
+        if risk_coordinates is not None and passes < cap:
+            x1 = point
+            point = keep(run_pass(x1))
+            if passes < cap:
+                point = extrapolate(x0, x1, point)
+        ll = point.loglik
+        if prev_ll is not None and abs(ll - prev_ll) <= config.tolerance * max(1.0, abs(prev_ll)):
+            stop_reason = "tolerance"
+            break
         prev_ll = ll
 
-    if not converged and config.max_iterations > 1:
+    if stop_reason == "cap" and cap > 1:
         warnings.warn(
-            f"EM did not converge in {config.max_iterations} iterations",
+            f"EM did not converge in {cap} iterations",
             NonConvergenceWarning,
             stacklevel=2,
         )
     return EMResult(
-        state=state,
+        state=point.state,
         trace=trace,
-        converged=converged,
-        n_iterations=iteration,
+        stop_reason=stop_reason,
+        n_iterations=passes,
         theta_init=theta0,
     )

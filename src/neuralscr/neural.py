@@ -105,8 +105,7 @@ def forward(network: RiskNetwork, x) -> float | np.ndarray:
         raise ValueError(
             f"expected covariate dimension {network.input_dim}, got {a.shape[1]}"
         )
-    _, zs = _kernels.mlp(list(zip(network.weights, network.biases)), a)
-    out = zs[-1][:, 0]
+    out = _kernels.mlp_output(list(zip(network.weights, network.biases)), a)
     return float(out[0]) if single else out
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln, psi
 
 from .core import Dataset, LinearRisk, ModelState, WeibullHazard
@@ -171,6 +170,9 @@ def fit_parametric(dataset: Dataset, restarts: int = 3, seed: int = 0) -> Parame
     Quasi-Newton (L-BFGS-B with analytic gradients, then a BFGS polish) from
     the exponential-fit start plus jittered restarts; the best optimum wins.
     """
+    # imported here, so that predicting and scoring do not load scipy.optimize
+    from scipy.optimize import minimize
+
     p = dataset.p
     x0 = _initial_params(dataset)
     rng = np.random.default_rng(seed)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import neuralscr
 from neuralscr.cli import _train_config, build_parser, main
 from neuralscr.serialize import read_dataset_csv, read_table_csv, write_dataset_csv
 from neuralscr.simulate import SimConfig, simulate
@@ -103,6 +108,38 @@ class TestFitPredictEvaluate:
         doc = json.loads(model.read_text())
         assert doc["risk_model"]["kind"] == "neural"
         assert len(doc["baselines"]) == 3
+
+
+class TestColdProcess:
+    def test_simulate_predict_and_evaluate_leave_scipy_optimize_unloaded(self, neural_model,
+                                                                         tmp_path):
+        # only fitting optimizes, so a fresh process that simulates, predicts
+        # and scores never pays for importing scipy.optimize
+        data, doc = neural_model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        commands = [
+            ["simulate", "--n", "40", "--seed", "2", "--out", str(tmp_path / "sim.csv")],
+            ["predict", "--model", str(model), "--data", str(data), "--times", "0.2,0.5",
+             "--out", str(tmp_path / "preds.csv")],
+            ["evaluate", "--data", str(data), "--preds", str(tmp_path / "preds.csv"),
+             "--horizon", "0.5", "--out", str(tmp_path / "bbs.csv")],
+        ]
+        script = (
+            "import contextlib, io, sys\n"
+            "import neuralscr.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert neuralscr.cli.main(argv) == 0, argv\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(neuralscr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestCVAndStudy:

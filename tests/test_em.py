@@ -318,16 +318,19 @@ class TestRunEM:
     def test_theta_seed_is_one_optimizer_start(self, monkeypatch, kind, pairs):
         # EM specs seed theta from one L-BFGS-B run plus its BFGS polish;
         # the parametric kind keeps its three restarts
-        from neuralscr import harness, weibull
+        import scipy.optimize
+
+        from neuralscr import harness
 
         methods = []
-        original = weibull.minimize
+        original = scipy.optimize.minimize
 
         def counted(*args, **kwargs):
             methods.append(kwargs["method"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(weibull, "minimize", counted)
+        # weibull imports minimize from scipy.optimize at call time
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
         ds = random_dataset(np.random.default_rng(9), n=60, p=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -342,6 +345,126 @@ class TestRunEM:
             warnings.simplefilter("ignore")
             res = run_em(ds, LinearRiskSpec(), EMConfig(max_iterations=250, tolerance=1e-8, seed=0))
         assert 0.35 <= res.state.theta <= 0.65
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("neural", [False, True])
+    def test_capped_and_converged_fits(self, neural):
+        ds = random_dataset(np.random.default_rng(12), n=60)
+        if neural:
+            spec = NeuralRiskSpec(TrainConfig(dropout_fraction=0.0, hidden_layers=1, nodes=4,
+                                              seed=1), theta_init=0.7)
+        else:
+            spec = LinearRiskSpec(theta_init=0.7)
+        with pytest.warns(em.NonConvergenceWarning):
+            capped = run_em(ds, spec, EMConfig(max_iterations=3, tolerance=1e-300,
+                                               n_step_epochs_per_iteration=2))
+        assert capped.stop_reason == "cap" and not capped.converged
+        assert capped.n_iterations == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", em.NonConvergenceWarning)
+            done = run_em(ds, spec, EMConfig(max_iterations=400, tolerance=1e-4,
+                                             n_step_epochs_per_iteration=2))
+        assert done.stop_reason == "tolerance" and done.converged
+        assert done.n_iterations < 400
+        for res in (capped, done):
+            iters = [row["iter"] for row in res.trace]
+            assert res.n_iterations >= len(res.trace)
+            assert iters == sorted(set(iters)) and iters[-1] <= res.n_iterations
+
+
+@st.composite
+def linear_datasets(draw):
+    """Small illness-death datasets from the linear-risk gamma-frailty model
+    (theta 0.5, coefficients in [-1, 1], about a quarter censored)."""
+    n = draw(st.integers(40, 120))
+    p = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p))
+    rate = rng.gamma(2.0, 0.5, size=(n, 1)) * np.exp(x @ rng.uniform(-1, 1, size=(3, p)).T)
+    t1, t2_direct, soj = (rng.exponential(1.0 / rate[:, g]) for g in range(3))
+    prog = t1 < t2_direct
+    t_death = np.where(prog, t1 + soj, t2_direct)
+    c = rng.exponential(3.0, size=n)
+    y2 = np.minimum(t_death, c)
+    t_prog = np.where(prog, t1, np.inf)
+    return validate_dataset(Dataset(np.minimum(t_prog, y2), (t_prog <= y2).astype(float), y2,
+                                    (t_death <= c).astype(float), x))
+
+
+def plain_em(ds, spec, config):
+    """Plain EM, the reference for the accelerated loop: one E -> M -> N pass
+    per iteration through the per-call term evaluation, stopped by the
+    tolerance after every pass.  Returns the final state and the log
+    likelihood after each pass."""
+    state = ModelState(*nelson_aalen_seed(ds), theta=spec.initial_theta(ds),
+                       risk_model=spec.initial_risk_model(ds, np.random.default_rng(config.seed)))
+    lls = []
+    for iteration in range(1, config.max_iterations + 1):
+        terms = likelihood.evaluate_terms(ds, state)
+        post = em.e_step(ds, terms, state.theta)
+        b1, b2, b3 = em.breslow_baselines(ds, post.mean[:, None] * terms.eh)
+        state = replace(state, lambda01=b1, lambda02=b2, lambda03=b3)
+        risk, theta = spec.update(ds, likelihood.evaluate_terms(ds, state), post, state, config,
+                                  iteration)
+        state = replace(state, risk_model=risk, theta=theta)
+        lls.append(likelihood.observed_log_likelihood(ds, state))
+        if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= config.tolerance * max(1.0, abs(lls[-2])):
+            break
+    return state, lls
+
+
+def quiet_run_em(ds, spec, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_em(ds, spec, config)
+
+
+class TestSquarem:
+    """The accelerated linear fit against plain EM."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ds=linear_datasets())
+    def test_trace_log_likelihood_never_falls(self, ds):
+        res = quiet_run_em(ds, LinearRiskSpec(theta_init=0.7),
+                           EMConfig(max_iterations=300, tolerance=1e-8))
+        lls = np.array([row["obs_loglik"] for row in res.trace])
+        assert np.all(np.diff(lls) >= -1e-10 * np.abs(lls[:-1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ds=linear_datasets(), cap=st.integers(1, 6))
+    def test_passes_never_exceed_the_cap(self, ds, cap):
+        res = quiet_run_em(ds, LinearRiskSpec(theta_init=0.7),
+                           EMConfig(max_iterations=cap, tolerance=1e-300))
+        iters = [row["iter"] for row in res.trace]
+        assert res.n_iterations == cap
+        assert iters == sorted(set(iters)) and iters[-1] <= cap
+
+    @settings(max_examples=20, deadline=None)
+    @given(ds=linear_datasets())
+    def test_ends_no_lower_than_plain_em(self, ds):
+        spec = LinearRiskSpec(theta_init=0.7)
+        config = EMConfig(max_iterations=500, tolerance=1e-6)
+        res = quiet_run_em(ds, spec, config)
+        _, lls = plain_em(ds, spec, config)
+        final = res.trace[-1]["obs_loglik"]
+        assert final >= lls[-1] - config.tolerance * max(1.0, abs(lls[-1]))
+
+    def test_a_rejected_extrapolation_keeps_x2(self, monkeypatch):
+        # every extrapolated point fails, so each cycle ends at its second
+        # plain pass, and the kept passes are plain EM's, one for one
+        def reject(*args):
+            raise FloatingPointError("extrapolation rejected")
+
+        monkeypatch.setattr(em, "_state_at", reject)
+        ds = random_dataset(np.random.default_rng(8), n=60)
+        spec = LinearRiskSpec(theta_init=0.7)
+        res = quiet_run_em(ds, spec, EMConfig(max_iterations=12, tolerance=1e-300))
+        state, lls = plain_em(ds, spec, EMConfig(max_iterations=len(res.trace), tolerance=1e-300))
+        assert [row["obs_loglik"] for row in res.trace] == lls
+        assert res.n_iterations == 12 and len(res.trace) < 12
+        np.testing.assert_array_equal(res.state.risk_model.beta, state.risk_model.beta)
+        assert res.state.theta == state.theta
 
 
 class TestThetaUpdate:
