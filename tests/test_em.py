@@ -273,9 +273,11 @@ class TestRunEM:
             sum(res.trace[-1][k] for k in ("q1", "q2", "q3", "q4"))
         )
 
-    def test_one_baseline_lookup_and_one_risk_evaluation_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("accelerated", [True, False])
+    def test_one_baseline_lookup_and_one_risk_evaluation_per_iteration(self, monkeypatch,
+                                                                       accelerated):
         calls = {"cumulative": 0, "hazard_at": 0, "grid.cumulative": 0, "grid.hazard_at": 0,
-                 "values": 0, "breslow_index": 0, "event_log_terms": 0}
+                 "values": 0, "breslow_index": 0, "event_log_terms": 0, "points": 0}
 
         def counted(owner, name, key=None):
             original = getattr(owner, name)
@@ -293,25 +295,34 @@ class TestRunEM:
         counted(LinearRisk, "values")
         counted(_kernels, "breslow_index")
         counted(likelihood, "event_log_terms")
+        counted(em, "evaluate_grid_terms", "points")
         ds = random_dataset(np.random.default_rng(8), n=60, p=2)
+        if accelerated:
+            spec = LinearRiskSpec(theta_init=0.8)
+        else:
+            spec = FixedRiskSpec(LinearRisk(np.full((3, 2), 0.3)), update_theta=True,
+                                 theta_init=0.8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run_em(ds, LinearRiskSpec(theta_init=0.8),
-                         EMConfig(max_iterations=4, tolerance=1e-300, seed=0))
+            res = run_em(ds, spec, EMConfig(max_iterations=4, tolerance=1e-300, seed=0))
         k = res.n_iterations
         assert k == 4
-        # per iteration: the three baselines at the data once after the M-step
-        # and h once after the N-step; the seeding evaluation adds one of each.
-        # The lookups go through the event grids, which are indexed once per
-        # dataset (one breslow_index per transition), not once per iteration;
-        # the observed and expected log likelihoods share one event-term pass.
+        # per pass: the three baselines at the data once after the M-step and
+        # h once after the N-step; the seeding evaluation adds one of each,
+        # and so does each point SQUAREM extrapolates to (the linear fit's
+        # third pass starts from one).  The lookups go through the event
+        # grids, which are indexed once per dataset (one breslow_index per
+        # transition), not once per pass; the observed and expected log
+        # likelihoods share one event-term pass.
+        e = calls["points"] - 1
+        assert e == (1 if accelerated else 0)
         assert calls == {"cumulative": 0, "hazard_at": 0,
-                         "grid.cumulative": 3 * k + 3, "grid.hazard_at": 3 * k + 3,
-                         "values": k + 1, "breslow_index": 3, "event_log_terms": k}
+                         "grid.cumulative": 3 * (k + 1 + e), "grid.hazard_at": 3 * (k + 1 + e),
+                         "values": k + 1 + e, "breslow_index": 3, "event_log_terms": k,
+                         "points": 1 + e}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_em(ds, LinearRiskSpec(theta_init=0.8),
-                   EMConfig(max_iterations=2, tolerance=1e-300, seed=0))
+            run_em(ds, spec, EMConfig(max_iterations=2, tolerance=1e-300, seed=0))
         assert calls["breslow_index"] == 3
 
     @pytest.mark.parametrize("kind, pairs", [("linear", 1), ("neural", 1), ("parametric", 3)])
