@@ -105,6 +105,18 @@ class TestForward:
         x = rng.normal(size=(20, 2))
         np.testing.assert_array_equal(forward(net, x), forward(net, x))
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_forward_only_pass_equals_the_training_recursion(self, layers):
+        # same arithmetic as mlp, so the same bits; the input is left as it is
+        rng = np.random.default_rng(11)
+        net = jittered_networks(rng, layers=layers)[0]
+        pairs = list(zip(net.weights, net.biases))
+        x = rng.normal(size=(40, 2))
+        x_before = x.copy()
+        out = _kernels.mlp_output(pairs, x)
+        np.testing.assert_array_equal(out, _kernels.mlp(pairs, x)[1][-1][:, 0])
+        np.testing.assert_array_equal(x, x_before)
+
     def test_dropout_unbiased_through_linear_output(self):
         # inverted dropout: E[masked activations] equals the deterministic
         # activations, so a single-hidden-layer output is unbiased
