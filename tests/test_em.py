@@ -387,7 +387,7 @@ class TestStopReason:
 @st.composite
 def linear_datasets(draw):
     """Small illness-death datasets from the linear-risk gamma-frailty model
-    (theta 0.5, coefficients in [-1, 1], about a quarter censored)."""
+    (theta 0.5, coefficients in [-1, 1], about 30% censored)."""
     n = draw(st.integers(40, 120))
     p = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
