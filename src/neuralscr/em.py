@@ -150,16 +150,6 @@ def nelson_aalen_seed(dataset: Dataset):
     return breslow_baselines(dataset, np.ones((dataset.n, 3)))
 
 
-def parametric_theta_seed(dataset: Dataset) -> float:
-    """theta of a one-start Weibull fit, the EM seed of the linear and neural
-    specs.  Jittered restarts move that optimum by rounding only, so they are
-    left to the ``parametric`` model kind."""
-    # looked up at call time, so a wrapper put on weibull.fit_parametric sees it
-    from .weibull import fit_parametric
-
-    return fit_parametric(dataset, restarts=1).theta
-
-
 # ---------------------------------------------------------------------------
 # Risk-model update strategies for the N-step
 # ---------------------------------------------------------------------------
@@ -186,16 +176,21 @@ class FixedRiskSpec:
 
 @dataclass
 class LinearRiskSpec:
-    """h_g(x) = x' beta_g, updated by Newton ascent on Q; theta by 1-D search."""
+    """h_g(x) = x' beta_g, updated by Newton ascent on Q; theta by 1-D search.
+
+    theta starts at `theta_init`, else at 1.0, as in :class:`FixedRiskSpec`:
+    SQUAREM makes the fit insensitive to the start, so it is not worth a
+    parametric fit.  Each transition takes at most `newton_steps` Newton
+    steps, and stops early once the Newton decrement grad' step is below
+    rounding (1e-12 of |Q_g|) or the direction is not an ascent one.
+    """
 
     newton_steps: int = 4
     ridge: float = 1e-9
     theta_init: Optional[float] = None
 
     def initial_theta(self, dataset: Dataset) -> float:
-        if self.theta_init is not None:
-            return self.theta_init
-        return parametric_theta_seed(dataset)
+        return 1.0 if self.theta_init is None else self.theta_init
 
     def initial_risk_model(self, dataset: Dataset, rng):
         return LinearRisk(np.zeros((3, dataset.p)))
@@ -230,6 +225,10 @@ class LinearRiskSpec:
                 grad = x.T @ (ev - w)
                 hess = (x * w[:, None]).T @ x + ridge
                 step = np.linalg.solve(hess, grad)
+                # the decrement bounds the ascent left (Boyd & Vandenberghe
+                # 2004, sec. 9.5); below rounding, or with no ascent, stop
+                if grad @ step <= 1e-12 * max(1.0, abs(current)):
+                    break
                 # halve until Q_g does not decrease (Newton can overshoot);
                 # the accepted trial is evaluated at the next iterate
                 for _ in range(30):
@@ -238,7 +237,7 @@ class LinearRiskSpec:
                         break
                     step *= 0.5
                 else:
-                    trial = q_part(beta[g] + step)
+                    break  # no halved step ascends: keep beta_g
                 beta[g] += step
                 current, eb = trial
         theta = maximize_q4_theta(posteriors)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Dataset, ModelState
-from .em import EMConfig, parametric_theta_seed, q_function
+from .em import EMConfig, q_function
 from .frailty import FrailtyPosterior
 from .likelihood import SubjectTerms, evaluate_terms, event_log_terms
 
@@ -39,7 +39,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     dropout_fraction: float = 0.1
     l2_rate: float = 1e-4
-    epochs: int = 10
     hidden_layers: int = 2
     nodes: int = 32
     seed: int = 0
@@ -51,8 +50,6 @@ class TrainConfig:
             raise ValueError("dropout_fraction must be in [0, 1)")
         if self.l2_rate < 0:
             raise ValueError("l2_rate must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         if self.hidden_layers < 1 or self.nodes < 1:
             raise ValueError("need at least one hidden layer and one node")
 
@@ -206,11 +203,12 @@ def train_step(
     posteriors: FrailtyPosterior,
     state: ModelState,
     config: TrainConfig,
-    epochs: Optional[int] = None,
+    epochs: int,
     seed: Optional[int] = None,
     train_xi: bool = True,
 ):
-    """Full-batch adaptive-moment training of the sub-networks and xi.
+    """Full-batch adaptive-moment training of the sub-networks and xi, for
+    `epochs` epochs.
 
     Posteriors and baselines stay frozen, and `terms` holds the baselines of
     `state` at the data; returns the parameters with the lowest recorded
@@ -219,8 +217,9 @@ def train_step(
     risk = state.risk_model
     if not isinstance(risk, NeuralRisk):
         raise TypeError("train_step requires a NeuralRisk model")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     x, ev, lam, const = _loss_inputs(dataset, terms, posteriors)
-    n_epochs = config.epochs if epochs is None else epochs
     kernel_seed = config.seed if seed is None else seed
     with np.errstate(over="ignore", invalid="ignore"):
         W, B, xi, trace, diverged = _kernels.train_networks(
@@ -229,7 +228,7 @@ def train_step(
             math.log(state.theta),
             config.learning_rate, config.xi_learning_rate,
             config.dropout_fraction, config.l2_rate,
-            n_epochs, kernel_seed, 1 if train_xi else 0,
+            epochs, kernel_seed, 1 if train_xi else 0,
         )
     if diverged:
         warnings.warn(
@@ -257,6 +256,16 @@ def loss_gradients(dataset, posteriors, state, config: TrainConfig, train_xi: bo
         math.log(state.theta), config.l2_rate, 0.0, 0, 1 if train_xi else 0,
     )
     return float(value), dW, dB, float(dxi)
+
+
+def parametric_theta_seed(dataset: Dataset) -> float:
+    """theta of a one-start Weibull fit, the EM seed of :class:`NeuralRiskSpec`.
+    Jittered restarts move that optimum by rounding only, so they are left to
+    the ``parametric`` model kind."""
+    # looked up at call time, so a wrapper put on weibull.fit_parametric sees it
+    from .weibull import fit_parametric
+
+    return fit_parametric(dataset, restarts=1).theta
 
 
 @dataclass

@@ -357,6 +357,58 @@ class TestRunEM:
             res = run_em(ds, LinearRiskSpec(), EMConfig(max_iterations=250, tolerance=1e-8, seed=0))
         assert 0.35 <= res.state.theta <= 0.65
 
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 2.0, 4.0])
+    def test_constant_seed_converges_far_from_the_truth(self, theta):
+        # the linear fit starts at theta = 1 whatever the truth
+        from neuralscr import harness
+
+        ds, _ = simulate(SimConfig(n=500, theta=theta, risk_kind="linear", seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", em.NonConvergenceWarning)
+            fitted = harness.fit_model(ds, "linear", seed=1)
+        assert fitted.converged and fitted.theta_init == 1.0
+        lls = np.array([row[1] for row in fitted.trace_rows])
+        assert np.all(np.diff(lls) >= -1e-10 * np.abs(lls[:-1]))
+
+
+class TestNewtonStop:
+    @staticmethod
+    def fitted_pass(monkeypatch):
+        """A linear fit run to a tight tolerance, the E- and M-steps of one
+        more pass, and a counter of the solves and Q_g evaluations the
+        N-step then makes."""
+        ds, _ = simulate(SimConfig(n=300, theta=0.8, risk_kind="linear",
+                                   censoring_target=0.3, seed=5))
+        spec = LinearRiskSpec()
+        state = quiet_run_em(ds, spec, EMConfig(tolerance=1e-10)).state
+        terms = likelihood.evaluate_terms(ds, state)
+        post = em.e_step(ds, terms, state.theta)
+        b1, b2, b3 = em.breslow_baselines(ds, post.mean[:, None] * terms.eh)
+        state = replace(state, lambda01=b1, lambda02=b2, lambda03=b3)
+        calls = {"solve": 0, "exp": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np.linalg, "solve")
+        counted(np, "exp")
+        return ds, spec, terms.with_baselines(ds, state), post, state, calls
+
+    def test_a_converged_transition_takes_no_step(self, monkeypatch):
+        # each transition's first Newton decrement is below rounding, so it
+        # solves once, evaluates Q_g once and tries no step, let alone a
+        # halved one
+        ds, spec, terms, post, state, calls = self.fitted_pass(monkeypatch)
+        risk, _ = spec.update(ds, terms, post, state, EMConfig(), 1)
+        assert calls["solve"] <= 3 and calls["exp"] <= 3
+        assert np.max(np.abs(risk.beta - state.risk_model.beta)) <= 1e-8
+
 
 class TestStopReason:
     @pytest.mark.parametrize("neural", [False, True])

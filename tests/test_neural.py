@@ -313,16 +313,18 @@ class TestTrainStep:
 
     def test_zero_learning_rate_keeps_parameters(self):
         ds, state, post = self.make_problem()
-        cfg = TrainConfig(learning_rate=0.0, xi_learning_rate=0.0, dropout_fraction=0.1, epochs=5)
-        new_risk, xi, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=3)
+        cfg = TrainConfig(learning_rate=0.0, xi_learning_rate=0.0, dropout_fraction=0.1)
+        new_risk, xi, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg,
+                                        epochs=5, seed=3)
         np.testing.assert_array_equal(new_risk.W, state.risk_model.W)
         np.testing.assert_array_equal(new_risk.B, state.risk_model.B)
         assert xi == math.log(state.theta)
 
     def test_output_bias_stays_zero(self):
         ds, state, post = self.make_problem()
-        cfg = TrainConfig(learning_rate=1e-2, dropout_fraction=0.2, epochs=40)
-        new_risk, _, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=5)
+        cfg = TrainConfig(learning_rate=1e-2, dropout_fraction=0.2)
+        new_risk, _, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg,
+                                    epochs=40, seed=5)
         last = len(new_risk.dims) - 2
         np.testing.assert_array_equal(new_risk.B[:, last, :], 0.0)
         for net in new_risk.networks:
@@ -330,8 +332,9 @@ class TestTrainStep:
 
     def test_returns_best_loss_parameters(self):
         ds, state, post = self.make_problem()
-        cfg = TrainConfig(learning_rate=5e-3, dropout_fraction=0.0, epochs=30)
-        new_risk, xi, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=7)
+        cfg = TrainConfig(learning_rate=5e-3, dropout_fraction=0.0)
+        new_risk, xi, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg,
+                                        epochs=30, seed=7)
         final_state = ModelState(
             state.lambda01, state.lambda02, state.lambda03,
             theta=math.exp(xi), risk_model=new_risk,
@@ -342,9 +345,9 @@ class TestTrainStep:
 
     def test_training_is_seed_deterministic(self):
         ds, state, post = self.make_problem()
-        cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.3, epochs=10)
-        a, xa, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=11)
-        b, xb, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=11)
+        cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.3)
+        a, xa, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, epochs=10, seed=11)
+        b, xb, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, epochs=10, seed=11)
         np.testing.assert_array_equal(a.W, b.W)
         assert xa == xb
 
@@ -353,8 +356,9 @@ class TestTrainStep:
         wins = 0
         for seed in range(10):
             ds, state, post = self.make_problem(seed=100 + seed, n=80)
-            cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.0, epochs=5)
-            _, _, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg, seed=seed)
+            cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.0)
+            _, _, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg,
+                                    epochs=5, seed=seed)
             if info.loss_trace[-1] < info.loss_trace[0]:
                 wins += 1
         assert wins >= 9
