@@ -248,16 +248,21 @@ class TestRunEM:
         lls = np.array([r["obs_loglik"] for r in res.trace])
         assert np.all(np.diff(lls) >= -1e-10)
 
-    def test_theta_seed_comes_from_parametric_fit(self, linear_sim_small):
-        ds, _ = linear_sim_small
-        from neuralscr.weibull import fit_parametric
+    def test_linear_theta_seed_is_one_without_a_parametric_fit(self, monkeypatch,
+                                                                linear_sim_small):
+        from neuralscr import harness, weibull
 
-        expected = fit_parametric(ds, restarts=1).theta
-        spec = LinearRiskSpec()
+        def refuse(*args, **kwargs):
+            raise AssertionError("the linear fit ran a parametric fit")
+
+        monkeypatch.setattr(weibull, "fit_parametric", refuse)
+        ds, _ = linear_sim_small
+        assert LinearRiskSpec().initial_theta(ds) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run_em(ds, spec, EMConfig(max_iterations=2, tolerance=1e-12, seed=0))
-        assert res.theta_init == pytest.approx(expected, rel=1e-9)
+            fitted = harness.fit_model(ds, "linear", EMConfig(max_iterations=2))
+            seeded = harness.fit_model(ds, "linear", EMConfig(max_iterations=2), theta_init=0.3)
+        assert fitted.theta_init == 1.0 and seeded.theta_init == 0.3
 
     def test_trace_schema(self, linear_sim_small):
         ds, _ = linear_sim_small
@@ -325,10 +330,11 @@ class TestRunEM:
             run_em(ds, spec, EMConfig(max_iterations=2, tolerance=1e-300, seed=0))
         assert calls["breslow_index"] == 3
 
-    @pytest.mark.parametrize("kind, pairs", [("linear", 1), ("neural", 1), ("parametric", 3)])
+    @pytest.mark.parametrize("kind, pairs", [("linear", 0), ("neural", 1), ("parametric", 3)])
     def test_theta_seed_is_one_optimizer_start(self, monkeypatch, kind, pairs):
-        # EM specs seed theta from one L-BFGS-B run plus its BFGS polish;
-        # the parametric kind keeps its three restarts
+        # the neural spec seeds theta from one L-BFGS-B run plus its BFGS
+        # polish; the linear spec starts at 1.0, and the parametric kind
+        # keeps its three restarts
         import scipy.optimize
 
         from neuralscr import harness
@@ -408,6 +414,24 @@ class TestNewtonStop:
         risk, _ = spec.update(ds, terms, post, state, EMConfig(), 1)
         assert calls["solve"] <= 3 and calls["exp"] <= 3
         assert np.max(np.abs(risk.beta - state.risk_model.beta)) <= 1e-8
+
+    def test_a_non_ascent_direction_leaves_beta_unchanged(self):
+        # a ridge of -100 makes the Newton matrix negative definite, so every
+        # Newton direction descends and the loop stops before its first step
+        ds = random_dataset(np.random.default_rng(8), n=60)
+        rng = np.random.default_rng(3)
+        state = event_anchored_state(rng, ds, theta=0.7)
+        terms = likelihood.evaluate_terms(ds, state)
+        post = em.e_step(ds, terms, state.theta)
+        spec = LinearRiskSpec(ridge=-100.0)
+        x = ds.x
+        for g in range(3):
+            w = post.mean * terms.lam[g] * terms.eh[:, g]
+            grad = x.T @ (ds.transitions.event[g] - w)
+            hess = (x * w[:, None]).T @ x - 100.0 * np.eye(ds.p)
+            assert grad @ np.linalg.solve(hess, grad) < 0
+        risk, _ = spec.update(ds, terms, post, state, EMConfig(), 1)
+        np.testing.assert_array_equal(risk.beta, state.risk_model.beta)
 
 
 class TestStopReason:
@@ -599,10 +623,14 @@ def reference_linear_update(self, dataset, terms, posteriors, state, config, ite
             hess = (x * w[:, None]).T @ x + self.ridge * np.eye(dataset.p)
             step = np.linalg.solve(hess, grad)
             current = q_part(g, beta[g])
+            if grad @ step <= 1e-12 * max(1.0, abs(current)):
+                break
             for _ in range(30):
                 if q_part(g, beta[g] + step) >= current:
                     break
                 step *= 0.5
+            else:
+                break
             beta[g] += step
     res = minimize_scalar(lambda xi: -q4_value(xi, posteriors.mean, posteriors.log_mean),
                           bounds=em.LOG_THETA_BOUNDS, method="bounded", options={"xatol": 1e-10})
@@ -674,17 +702,6 @@ class TestEventGrids:
             mp.setattr(SubjectTerms, "with_baselines", reference_lookups)
             mp.setattr(LinearRiskSpec, "update", reference_linear_update)
             slow = self.fit(ds, spec, k)
-        self.assert_same(fast, slow)
-
-    def test_linear_update_equals_the_reference_when_line_searches_run_out(self):
-        # a negative ridge makes every Newton direction a descent direction,
-        # so all 30 halvings fail and the last halved step is taken untried
-        ds = random_dataset(np.random.default_rng(8), n=60)
-        spec = LinearRiskSpec(ridge=-100.0, theta_init=0.7)
-        fast = self.fit(ds, spec, 2)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LinearRiskSpec, "update", reference_linear_update)
-            slow = self.fit(ds, spec, 2)
         self.assert_same(fast, slow)
 
     @staticmethod
