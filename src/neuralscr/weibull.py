@@ -3,7 +3,7 @@
 Maximizes the observed-data (frailty-integrated) log likelihood directly by
 quasi-Newton ascent on an unconstrained parameterization (log Weibull
 parameters, raw coefficients, log theta), restarted from jittered seeds.
-Also supplies the theta seed for the EM drivers.
+Also supplies the theta seed for neural EM fits.
 """
 
 from __future__ import annotations
