@@ -378,11 +378,11 @@ class TestRunEM:
 
 
 class TestNewtonStop:
-    @staticmethod
-    def fitted_pass(monkeypatch):
-        """A linear fit run to a tight tolerance, the E- and M-steps of one
-        more pass, and a counter of the solves and Q_g evaluations the
-        N-step then makes."""
+    def test_a_converged_transition_takes_no_step(self, monkeypatch):
+        # after a fit run to a tight tolerance and the E- and M-steps of one
+        # more pass, each transition's first Newton decrement is below
+        # rounding: it solves once, evaluates Q_g once and tries no step,
+        # let alone a halved one
         ds, _ = simulate(SimConfig(n=300, theta=0.8, risk_kind="linear",
                                    censoring_target=0.3, seed=5))
         spec = LinearRiskSpec()
@@ -404,14 +404,7 @@ class TestNewtonStop:
 
         counted(np.linalg, "solve")
         counted(np, "exp")
-        return ds, spec, terms.with_baselines(ds, state), post, state, calls
-
-    def test_a_converged_transition_takes_no_step(self, monkeypatch):
-        # each transition's first Newton decrement is below rounding, so it
-        # solves once, evaluates Q_g once and tries no step, let alone a
-        # halved one
-        ds, spec, terms, post, state, calls = self.fitted_pass(monkeypatch)
-        risk, _ = spec.update(ds, terms, post, state, EMConfig(), 1)
+        risk, _ = spec.update(ds, terms.with_baselines(ds, state), post, state, EMConfig(), 1)
         assert calls["solve"] <= 3 and calls["exp"] <= 3
         assert np.max(np.abs(risk.beta - state.risk_model.beta)) <= 1e-8
 
