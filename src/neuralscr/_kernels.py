@@ -13,9 +13,143 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import psi
 
 _MASK64 = (1 << 64) - 1
+
+# ---------------------------------------------------------------------------
+# Digamma and log-gamma of one non-negative float.  The E-step needs them
+# only at the three posterior shapes 1/theta + delta1 + delta2, so scalar
+# code does.  Both port the Cephes routines (Moshier 1989) as scipy.special's
+# `psi` and `gammaln` evaluate them, operation for operation, so they return
+# the same floats.
+# ---------------------------------------------------------------------------
+
+_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+          8.33333333333333333333e-2)
+_PSI_EULER = 0.5772156649015328606065120
+# digamma(x) = (x - root) (Y + R(x - 1)) on [1, 2], the rational fit of Boost;
+# the root is split into three parts, and Y is a single-precision constant
+_PSI_ROOT = (1569415565.0 / 1073741824.0, (381566830.0 / 1073741824.0) / 1073741824.0,
+             0.9016312093258695918615325266959189453125e-19)
+_PSI_Y = 0.99558162689208984
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
+
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+# the leading coefficient, 1.0, is implied
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+
+
+def _polevl(x, coef):
+    """coef[0] x^N + ... + coef[N] by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """:func:`_polevl` with an implied leading coefficient 1.0."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _check_domain(x):
+    if x < 0.0:
+        raise ValueError("the gamma-function kernels take non-negative arguments")
+
+
+def psi(x: float) -> float:
+    """Digamma of a non-negative float (-inf at 0, as scipy gives)."""
+    _check_domain(x)
+    if math.isnan(x) or x == math.inf:
+        return x
+    if x == 0.0:
+        return -math.inf
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _PSI_EULER
+    # the recurrence psi(x + 1) = psi(x) + 1/x moves x into [1, 2]
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if 1.0 <= x <= 2.0:
+        g = x - _PSI_ROOT[0]
+        g -= _PSI_ROOT[1]
+        g -= _PSI_ROOT[2]
+        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
+        return y + (g * _PSI_Y + g * r)
+    # asymptotic series
+    s = 0.0
+    if x < 1.0e17:
+        z = 1.0 / (x * x)
+        s = z * _polevl(z, _PSI_A)
+    return y + (math.log(x) - 0.5 / x - s)
+
+
+def lgamma(x: float) -> float:
+    """log Gamma(x) of a non-negative float (inf at 0, as scipy gives)."""
+    _check_domain(x)
+    if math.isnan(x) or x == math.inf:
+        return x
+    if x < 13.0:
+        # shift into [2, 3) by the recurrence, collecting the factors in z
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    # Stirling's series
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def gamma_shapes(inv_t: float):
+    """(a, psi(a), lgamma(a)) as (3,) arrays at the posterior Gamma shapes
+    a = 1/theta + delta1 + delta2 of a subject with 0, 1 and 2 events; index
+    them with the subject's event count.  a[k] is the same float sum that
+    inv_t + delta1 + delta2 gives."""
+    a = (inv_t, inv_t + 1.0, inv_t + 1.0 + 1.0)
+    return np.array(a), np.array([psi(v) for v in a]), np.array([lgamma(v) for v in a])
+
 
 # ---------------------------------------------------------------------------
 # Step cumulative hazard evaluation.

@@ -27,6 +27,9 @@ RULE_RAGGED = "RaggedCovariates"
 RULE_INDICATOR_DOMAIN = "IndicatorOutsideZeroOne"
 RULE_NONFINITE_COVARIATE = "NonFiniteCovariate"
 
+# the range every fitter keeps log(theta) in: frailty variance 1e-4 to 100
+LOG_THETA_BOUNDS = (math.log(1e-4), math.log(100.0))
+
 
 class DatasetValidationError(ValueError):
     """Raised when records break the observable-space constraints.
@@ -183,6 +186,17 @@ class Dataset:
         for arr in vars(view).values():
             arr.flags.writeable = False
         return view
+
+    @cached_property
+    def event_count(self) -> np.ndarray:
+        """delta1 + delta2 per subject as an index array: its posterior
+        frailty shape is 1/theta plus this count.  Raises ValueError for
+        indicators other than 0 and 1."""
+        if not (np.isin(self.delta1, (0.0, 1.0)).all() and np.isin(self.delta2, (0.0, 1.0)).all()):
+            raise ValueError("event indicators must be 0 or 1")
+        count = (self.delta1 + self.delta2).astype(np.intp)
+        count.flags.writeable = False
+        return count
 
     @cached_property
     def event_grids(self) -> tuple[EventGrid, EventGrid, EventGrid]:

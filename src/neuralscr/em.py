@@ -30,11 +30,17 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import Dataset, LinearRisk, ModelState, NonFiniteLikelihoodError, StepHazard, ZeroRisk
+from .core import (
+    LOG_THETA_BOUNDS,
+    Dataset,
+    LinearRisk,
+    ModelState,
+    NonFiniteLikelihoodError,
+    StepHazard,
+    ZeroRisk,
+)
 from .frailty import FrailtyPosterior, e_step, posterior  # noqa: F401 (posterior re-exported)
 from .likelihood import SubjectTerms, evaluate_grid_terms, evaluate_terms, marginal_log_likelihood
-
-LOG_THETA_BOUNDS = (math.log(1e-4), math.log(100.0))
 
 # Q's event terms go through the likelihood's one zero-jump check
 NonFiniteQError = NonFiniteLikelihoodError
@@ -103,21 +109,91 @@ def q4_value(log_theta: float, egam: np.ndarray, elog: np.ndarray) -> float:
     return float(_kernels.q4(float(len(egam)), log_theta, np.sum(elog), np.sum(egam)))
 
 
+def bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> float:
+    """A minimiser of func on [lo, hi] by Brent's bounded search (Brent 1973,
+    Algorithms for Minimization without Derivatives, ch. 5): parabolic steps
+    where they stay safely inside the bracket, golden-section steps
+    otherwise, until the bracket is within xatol (plus a relative part) of
+    the best point or `maxfun` evaluations have run.
+
+    This is scipy's ``minimize_scalar(method="bounded")`` step for step, so
+    it returns the same float.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # xf is the best point so far, nfc the second best and fulc the previous
+    # value of nfc
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through the three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
 def maximize_q4_theta(posteriors: FrailtyPosterior) -> float:
     """Bounded 1-D maximization of Q4 over log(theta)."""
-    # imported here, so that predicting and scoring do not load scipy.optimize
-    from scipy.optimize import minimize_scalar
-
     nf = float(len(posteriors.mean))
     sum_elog = np.sum(posteriors.log_mean)
     sum_egam = np.sum(posteriors.mean)
-    res = minimize_scalar(
-        lambda xi: -float(_kernels.q4(nf, xi, sum_elog, sum_egam)),
-        bounds=LOG_THETA_BOUNDS,
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(math.exp(res.x))
+    xi = bounded_minimum(lambda xi: -float(_kernels.q4(nf, xi, sum_elog, sum_egam)),
+                         *LOG_THETA_BOUNDS, xatol=1e-10)
+    return float(math.exp(xi))
 
 
 def breslow_baselines(dataset: Dataset, weights: np.ndarray):

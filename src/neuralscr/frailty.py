@@ -14,19 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
+from . import _kernels
 from .core import Dataset, ModelState
 from .likelihood import SubjectTerms, evaluate_terms
 
 
 def digamma(x):
-    """Logarithmic derivative of the gamma function, for positive arguments."""
+    """Logarithmic derivative of the gamma function, for positive arguments;
+    arrays map elementwise."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("digamma requires a positive argument")
-    out = psi(x_arr)
-    return out if np.ndim(x) > 0 else float(out)
+    if np.ndim(x) == 0:
+        return _kernels.psi(float(x_arr))
+    return np.array([_kernels.psi(v) for v in x_arr.ravel().tolist()]).reshape(x_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -48,13 +50,15 @@ class FrailtyPosterior:
 def e_step(dataset: Dataset, terms: SubjectTerms, theta: float) -> FrailtyPosterior:
     """E-step moments for every subject, from the terms of the current fit."""
     inv_t = 1.0 / theta
-    a_tilde = inv_t + dataset.delta1 + dataset.delta2
+    shapes, psi_shapes, _ = _kernels.gamma_shapes(inv_t)
+    count = dataset.event_count
+    a_tilde = shapes[count]
     b_tilde = inv_t + terms.b_tilde_sum
     return FrailtyPosterior(
         a_tilde=a_tilde,
         b_tilde=b_tilde,
         mean=a_tilde / b_tilde,
-        log_mean=psi(a_tilde) - np.log(b_tilde),
+        log_mean=psi_shapes[count] - np.log(b_tilde),
     )
 
 

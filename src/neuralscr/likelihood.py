@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
+from . import _kernels
 from .core import (
     Dataset,
     ModelState,
@@ -209,13 +209,14 @@ def marginal_log_likelihood(dataset: Dataset, terms: SubjectTerms, theta: float)
     - a~ log(b~) + event terms; a~, b~ are the posterior Gamma parameters.
     """
     inv_t = 1.0 / theta
-    a_tilde = inv_t + dataset.delta1 + dataset.delta2
+    shapes, _, lgamma_shapes = _kernels.gamma_shapes(inv_t)
+    count = dataset.event_count
     b_tilde = inv_t + terms.b_tilde_sum
     ll = (
-        gammaln(a_tilde)
+        lgamma_shapes[count]
         - math.lgamma(inv_t)
         - inv_t * math.log(theta)
-        - a_tilde * np.log(b_tilde)
+        - shapes[count] * np.log(b_tilde)
         + np.sum(terms.event_terms, axis=0)
     )
     return float(np.sum(ll))

@@ -275,9 +275,17 @@ def write_predictions_csv(times, predictions, path) -> None:
     n, k = predictions.shape
     if len(times) != k:
         raise ValueError("predictions must hold one column per time")
+    # one subject's k lines in one format call: each time's repr is taken once
+    # per file and the subject id once per subject
+    subject_lines = "".join(f"{{0}},{t!r},{{{j}!r}}\r\n"
+                            for j, t in enumerate(times.tolist(), start=1))
+    per_chunk = max(1, _CHUNK_ROWS // max(k, 1))
     with open(path, "w", newline="") as fh:
-        _write_rows(fh, ["subject", "t", "pi"], "{},{!r},{!r}\r\n",
-                    np.repeat(np.arange(n), k), np.tile(times, n), predictions.ravel())
+        fh.write("subject,t,pi\r\n")
+        for start in range(0, n, per_chunk):
+            rows = predictions[start:start + per_chunk].tolist()
+            fh.write("".join([subject_lines.format(str(i), *row)
+                              for i, row in enumerate(rows, start)]))
 
 
 def read_predictions_csv(path):

@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, psi
 
-from .core import Dataset, LinearRisk, ModelState, WeibullHazard
+from . import _kernels
+from .core import LOG_THETA_BOUNDS, Dataset, LinearRisk, ModelState, WeibullHazard
 from .likelihood import joint_event_free_survival
 
 LOG_PARAM_BOUND = 20.0
 BETA_BOUND = 50.0
-LOG_THETA_BOUNDS = (math.log(1e-4), math.log(100.0))
 
 
 class OptimizerFailureError(RuntimeError):
@@ -105,18 +104,18 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset, inv: _Invariants = No
     theta = math.exp(log_theta)
     inv_t = 1.0 / theta
 
-    d1, d2 = dataset.delta1, dataset.delta2
-
     h = dataset.x @ beta.T if p else np.zeros((dataset.n, 3))
     eh = np.exp(h)
 
     lam = np.array([inv.on[g] * phi[g, 0] * np.exp(phi[g, 1] * inv.log_exposure[g])
                     for g in range(3)])  # (3, n)
 
-    a_tilde = inv_t + d1 + d2
+    shapes, psi_shapes, lgamma_shapes = _kernels.gamma_shapes(inv_t)
+    count = dataset.event_count
+    a_tilde = shapes[count]
     b_tilde = inv_t + sum(lam[g] * eh[:, g] for g in range(3))
 
-    ll = np.sum(gammaln(a_tilde)) - dataset.n * (math.lgamma(inv_t) + inv_t * log_theta)
+    ll = np.sum(lgamma_shapes[count]) - dataset.n * (math.lgamma(inv_t) + inv_t * log_theta)
     ll -= float(np.sum(a_tilde * np.log(b_tilde)))
     for g in range(3):
         ll += float(
@@ -140,8 +139,8 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset, inv: _Invariants = No
             grad[6 + g * p: 6 + (g + 1) * p] = inv.event_x_sum[g] - dataset.x.T @ w
 
     dll_dtheta_part = (
-        -psi(a_tilde)
-        + psi(inv_t)
+        -psi_shapes[count]
+        + psi_shapes[0]
         + log_theta
         - 1.0
         + np.log(b_tilde)
@@ -170,7 +169,8 @@ def fit_parametric(dataset: Dataset, restarts: int = 3, seed: int = 0) -> Parame
     Quasi-Newton (L-BFGS-B with analytic gradients, then a BFGS polish) from
     the exponential-fit start plus jittered restarts; the best optimum wins.
     """
-    # imported here, so that predicting and scoring do not load scipy.optimize
+    # the package's one use of scipy, imported here, so that a process that
+    # fits no Weibull model never loads it
     from scipy.optimize import minimize
 
     p = dataset.p

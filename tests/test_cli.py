@@ -111,27 +111,38 @@ class TestFitPredictEvaluate:
 
 
 class TestColdProcess:
-    def test_simulate_predict_and_evaluate_leave_scipy_optimize_unloaded(self, neural_model,
-                                                                         tmp_path):
-        # only fitting optimizes, so a fresh process that simulates, predicts
-        # and scores never pays for importing scipy.optimize
+    def test_only_a_parametric_fit_loads_scipy(self, neural_model, tmp_path):
+        # the E-step's special functions and the theta search are local, so
+        # a fresh process that simulates, fits a linear model, predicts and
+        # scores never imports scipy; the Weibull fit imports it when called
         data, doc = neural_model
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
+        sim, preds = tmp_path / "sim.csv", tmp_path / "preds.csv"
         commands = [
-            ["simulate", "--n", "40", "--seed", "2", "--out", str(tmp_path / "sim.csv")],
+            ["simulate", "--n", "40", "--seed", "2", "--out", str(sim)],
+            ["fit", "--data", str(sim), "--model", "linear", "--em-iterations", "5",
+             "--seed", "0", "--out", str(tmp_path / "linear.json")],
+            ["predict", "--model", str(tmp_path / "linear.json"), "--data", str(sim),
+             "--times", "0.2,0.5", "--out", str(tmp_path / "linear_preds.csv")],
             ["predict", "--model", str(model), "--data", str(data), "--times", "0.2,0.5",
-             "--out", str(tmp_path / "preds.csv")],
-            ["evaluate", "--data", str(data), "--preds", str(tmp_path / "preds.csv"),
+             "--out", str(preds)],
+            ["evaluate", "--data", str(data), "--preds", str(preds),
              "--horizon", "0.5", "--out", str(tmp_path / "bbs.csv")],
         ]
+        parametric = ["fit", "--data", str(sim), "--model", "parametric", "--seed", "0",
+                      "--out", str(tmp_path / "parametric.json")]
         script = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, sys, warnings\n"
             "import neuralscr.cli\n"
+            "warnings.simplefilter('ignore')\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert neuralscr.cli.main(argv) == 0, argv\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = neuralscr.cli.main({parametric!r})\n"
+            "print(loaded, code)\n"
         )
         src = str(Path(neuralscr.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -139,7 +150,8 @@ class TestColdProcess:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[] 0"
+        assert (tmp_path / "parametric.json").exists()
 
 
 class TestCVAndStudy:

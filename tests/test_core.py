@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neuralscr.core import (
+    Dataset,
     DatasetValidationError,
     ModelState,
     ObservedRecord,
@@ -98,6 +99,17 @@ class TestValidation:
         ds = validate_dataset(records)
         back = ds.to_records()
         assert back[0].y1 == 1.0 and back[1].delta2 == 0
+
+    def test_event_count_indexes_the_posterior_shapes(self):
+        ds = validate_dataset([rec(1.0, 1, 2.0, 1), rec(2.0, 0, 2.0, 0), rec(1.0, 1, 2.0, 0),
+                               rec(2.0, 0, 2.0, 1)])
+        np.testing.assert_array_equal(ds.event_count, [2, 0, 1, 1])
+        assert ds.event_count.dtype == np.intp and not ds.event_count.flags.writeable
+
+    def test_event_count_rejects_indicators_off_zero_one(self):
+        ds = Dataset([1.0, 2.0], [1.0, 0.5], [2.0, 2.0], [1.0, 0.0], [[0.1], [0.2]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            ds.event_count
 
 
 class TestStepHazard:

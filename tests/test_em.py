@@ -559,6 +559,51 @@ class TestThetaUpdate:
         vals = [q4_value(math.log(t), post.mean, post.log_mean) for t in grid]
         assert q4_value(math.log(best), post.mean, post.log_mean) >= max(vals) - 1e-6
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 400), log_theta=st.floats(-12.0, 7.0),
+           scale=st.floats(1e-3, 1e3), consistent=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_search_equals_scipy_bounded_minimize_scalar(self, n, log_theta, scale, consistent,
+                                                         seed):
+        # posteriors from the E-step's formulas at a random theta, or
+        # arbitrary moments, which also put the maximum on a bound
+        rng = np.random.default_rng(seed)
+        if consistent:
+            inv_t = math.exp(-log_theta)
+            a, psi_a, _ = _kernels.gamma_shapes(inv_t)
+            count = rng.integers(0, 3, n)
+            b = inv_t + rng.exponential(scale, n)
+            post = FrailtyPosterior(a_tilde=a[count], b_tilde=b, mean=a[count] / b,
+                                    log_mean=psi_a[count] - np.log(b))
+        else:
+            post = FrailtyPosterior(a_tilde=np.ones(n), b_tilde=np.ones(n),
+                                    mean=scale * rng.uniform(0.01, 1.0, n),
+                                    log_mean=rng.normal(log_theta / 4.0, 1.0, n))
+        res = minimize_scalar(lambda xi: -q4_value(xi, post.mean, post.log_mean),
+                              bounds=em.LOG_THETA_BOUNDS, method="bounded",
+                              options={"xatol": 1e-10})
+        assert maximize_q4_theta(post) == float(math.exp(res.x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-50.0, 50.0), width=st.floats(1e-6, 100.0), centre=st.floats(-60.0, 160.0),
+           amp=st.floats(0.0, 5.0), freq=st.floats(0.0, 20.0),
+           xatol=st.sampled_from([1e-10, 1e-5, 1e-2]), maxfun=st.sampled_from([2, 5, 500]))
+    def test_bounded_minimum_takes_scipys_steps(self, lo, width, centre, amp, freq, xatol,
+                                                maxfun):
+        # every evaluation point, the cap on their number included, is scipy's
+        def recorder(points):
+            def f(x):
+                points.append(float(x))
+                return (float(x) - centre) ** 2 + amp * math.sin(freq * float(x))
+            return f
+
+        ours, scipys = [], []
+        best = em.bounded_minimum(recorder(ours), lo, lo + width, xatol=xatol, maxfun=maxfun)
+        res = minimize_scalar(recorder(scipys), bounds=(lo, lo + width), method="bounded",
+                              options={"xatol": xatol, "maxiter": maxfun})
+        assert ours == scipys
+        assert best == res.x
+
 
 @st.composite
 def tied_datasets(draw, max_n=30):

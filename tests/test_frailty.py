@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import psi
 
 from neuralscr.core import ModelState, StepHazard, ZeroRisk
 from neuralscr.frailty import digamma, posterior
@@ -49,6 +50,19 @@ class TestDigamma:
     def test_vectorized(self):
         xs = np.array([0.5, 1.0, 4.0])
         np.testing.assert_allclose(digamma(xs), [digamma(float(v)) for v in xs], rtol=1e-12)
+
+    def test_rejects_any_nonpositive_entry_of_an_array(self):
+        for bad in ([1.0, 0.0], [[2.0, 3.0], [-1e-300, 4.0]]):
+            with pytest.raises(ValueError):
+                digamma(np.array(bad))
+
+    def test_maps_arrays_elementwise_as_scipy_does(self):
+        xs = np.random.default_rng(5).uniform(1e-3, 40.0, size=(4, 6))
+        out = digamma(xs)
+        assert out.shape == xs.shape and out.dtype == np.float64
+        np.testing.assert_array_equal(out, psi(xs))
+        np.testing.assert_array_equal(digamma(list(xs[0])), psi(xs[0]))
+        assert isinstance(digamma(xs[0, 0]), float) and digamma(xs[0, 0]) == psi(xs[0, 0])
 
 
 class TestPosterior:

@@ -149,6 +149,18 @@ class TestRunArtifacts:
         assert path.read_bytes() == (b"subject,t,pi\r\n0,0.5,0.9\r\n0,1.0,0.8\r\n"
                                      b"1,0.5,0.7\r\n1,1.0,0.5\r\n")
 
+    def test_predictions_equal_the_per_row_format(self, tmp_path):
+        # several write chunks, and floats whose repr is long or odd
+        rng = np.random.default_rng(11)
+        times = np.array([1e-300, 0.1, 1.0 / 3.0, 2.0, 1e22, 5e-324, 7.0])
+        preds = rng.random((1300, 7))
+        preds[::97] = [0.0, 1.0, 1e-17, 0.5, 1.0 - 2**-53, 5e-324, 0.25]
+        path = tmp_path / "preds.csv"
+        write_predictions_csv(times, preds, path)
+        rows = "".join(f"{i},{t!r},{v!r}\r\n" for i in range(len(preds))
+                       for t, v in zip(times.tolist(), preds[i].tolist()))
+        assert path.read_bytes() == ("subject,t,pi\r\n" + rows).encode()
+
     def test_predictions_roundtrip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(6)
         times = np.sort(rng.exponential(size=7))
