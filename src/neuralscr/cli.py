@@ -17,7 +17,7 @@ from . import harness
 from .core import DatasetValidationError, LinearRisk, validate_dataset
 from .em import EMConfig, EmptyRiskSetError
 from .likelihood import joint_event_free_survival
-from .metrics import ZeroWeightError, integrated_bbs, reverse_km
+from .metrics import ZeroWeightError, check_horizon, integrated_bbs, reverse_km
 from .neural import NeuralRisk, TrainConfig
 from .serialize import (
     load_model,
@@ -156,6 +156,9 @@ def _cmd_evaluate(args) -> int:
     if preds.shape[0] != dataset.n:
         raise DatasetValidationError([(0, "predictions do not match the dataset size")])
     horizon = args.horizon if args.horizon is not None else float(times[-1])
+    check_horizon(horizon)
+    if horizon + 1e-12 < times[0]:
+        raise ValueError(f"horizon {horizon:g} is before the first prediction time {times[0]:g}")
     keep = times <= horizon + 1e-12
     times, preds = times[keep], preds[:, keep]
     g_hat = reverse_km(dataset)

@@ -16,7 +16,13 @@ import numpy as np
 from .core import Dataset, ModelState
 from .em import EMConfig, LinearRiskSpec, run_em
 from .likelihood import joint_event_free_survival
-from .metrics import CensoringCurve, ExponentialCensoring, integrated_bbs, reverse_km
+from .metrics import (
+    CensoringCurve,
+    ExponentialCensoring,
+    check_horizon,
+    integrated_bbs,
+    reverse_km,
+)
 from .neural import NeuralRiskSpec, TrainConfig, derive_seed
 from .simulate import SimConfig, censoring_rate, risk_values, simulate, true_survival
 from .weibull import ParametricModel, fit_parametric
@@ -135,6 +141,7 @@ def cv(
         raise FoldTooSmallError(f"need at least {folds} subjects for {folds} folds")
     if horizon is None:
         horizon = float(np.quantile(dataset.y2, 0.8))
+    check_horizon(horizon)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)

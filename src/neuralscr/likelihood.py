@@ -241,13 +241,17 @@ def joint_event_free_survival(covariates, t, state: ModelState):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     lam1 = np.atleast_1d(state.lambda01.cumulative(t_arr))
     lam2 = np.atleast_1d(state.lambda02.cumulative(t_arr))
-    # A has shape (n, k): subjects by time points
-    A = np.outer(eh1, lam1) + np.outer(eh2, lam2)
+    # A, and then pi in place, has shape (n, k): subjects by time points
+    pi = np.multiply.outer(eh1, lam1)
+    pi += np.multiply.outer(eh2, lam2)
     theta = state.theta
     if theta < THETA_FRAILTY_FREE:
-        pi = np.exp(-A)
+        np.negative(pi, out=pi)
+        np.exp(pi, out=pi)
     else:
-        pi = np.power(1.0 + theta * A, -1.0 / theta)
+        pi *= theta
+        pi += 1.0
+        np.power(pi, -1.0 / theta, out=pi)
     if np.ndim(covariates) == 1 and np.ndim(t) == 0:
         return float(pi[0, 0])
     if np.ndim(covariates) == 1:

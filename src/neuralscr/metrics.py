@@ -18,6 +18,11 @@ import numpy as np
 from .core import Dataset
 
 
+# Grid rows that `bbs` scores at a time: one (rows, n) float buffer stays
+# within L2 at n = 8,000
+_BLOCK_ROWS = 16
+
+
 class ZeroWeightError(ZeroDivisionError):
     """The censoring curve vanished at a point where a weight is needed."""
 
@@ -83,43 +88,76 @@ def bbs(dataset: Dataset, predictions, censoring: CensoringCurve, t):
 
     A scalar `t` with the (n,) vector of pi_i(t) gives a float; an
     increasing 1-D grid with the (n, len(grid)) matrix gives the curve.
-    Raises ZeroWeightError, naming the first such time, if G is zero at a
-    point where a subject needs a weight.
+    Predictions must be finite probabilities in [0, 1] (ValueError
+    otherwise).  Raises ZeroWeightError, naming the first such time, if G is
+    zero at a point where a subject needs a weight.
+
+    Each subject enters an observed-event region at its entry time (y1 in
+    region 1, y2 in region 2, never otherwise) with weight G(entry-), and
+    leaves the event-free region 3 at min(y1, y2); the grid is scored in
+    blocks of rows, so no (len(grid), n) array is formed.
     """
     grid = np.atleast_1d(np.asarray(t, dtype=float))
     pi = np.asarray(predictions, dtype=float)
     if pi.shape != (dataset.n,) + np.shape(t):
         raise ValueError("predictions must hold one value per subject and time")
+    # min and max propagate NaN, which fails both comparisons
+    if pi.size and not (pi.min() >= 0.0 and pi.max() <= 1.0):
+        raise ValueError("predictions must be finite probabilities in [0, 1]")
     pi = pi.reshape(dataset.n, len(grid)).T
     y1, d1 = dataset.y1, dataset.delta1
     y2, d2 = dataset.y2, dataset.delta2
-    col = grid[:, None]
 
-    region1 = (y1 <= col) & ((d1 == 1) & (y1 <= y2))
-    region2 = (y1 <= col) & (y2 <= col) & ((d1 == 0) & (d2 == 1) & (y1 <= y2))
-    region3 = (y1 > col) & (y2 > col)
-
-    g1 = censoring.evaluate(y1, left=True)
-    g2 = censoring.evaluate(y2, left=True)
+    wedge = y1 <= y2
+    entry = np.where((d1 == 1) & wedge, y1,
+                     np.where((d1 == 0) & (d2 == 1) & wedge, y2, np.inf))
+    leave = np.minimum(y1, y2)
+    g_entry = censoring.evaluate(entry, left=True)
     gt = censoring.evaluate(grid)
 
-    bad = ((region1 & (g1 <= 0)).any(axis=1) | (region2 & (g2 <= 0)).any(axis=1)
-           | (region3.any(axis=1) & (gt <= 0)))
+    # t needs a zero weight once it reaches a zero-weight entry, or when G(t)
+    # is zero while some subject is still event-free
+    first_zero_entry = np.min(entry[g_entry <= 0], initial=np.inf)
+    bad = (grid >= first_zero_entry) | ((gt <= 0) & (grid < np.max(leave, initial=-np.inf)))
     if np.any(bad):
         raise ZeroWeightError(
             f"censoring curve is zero at a weight point for t={grid[np.argmax(bad)]}"
         )
+    # weights that no subject uses become 1, so no inf or NaN is ever formed
+    g_entry = np.where((g_entry > 0) & (entry < np.inf), g_entry, 1.0)
+    gt = np.where(gt > 0, gt, 1.0)
 
-    # (T, n) in C order: each row sums in the order of a 1-D mean over subjects
-    loss = np.zeros((len(grid), dataset.n))
-    np.square(pi, out=loss, where=region1 | region2)
-    np.divide(loss, g1, out=loss, where=region1)
-    np.divide(loss, g2, out=loss, where=region2)
-    np.subtract(1.0, pi, out=loss, where=region3)
-    np.square(loss, out=loss, where=region3)
-    np.divide(loss, gt[:, None], out=loss, where=region3)
-    values = loss.mean(axis=1)
+    values = np.empty(len(grid))
+    rows = min(_BLOCK_ROWS, len(grid))
+    seen = np.empty((rows, dataset.n))
+    event_free = np.empty((rows, dataset.n))
+    inside = np.empty((rows, dataset.n), dtype=bool)
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(grid))
+        col = grid[start:stop, None]
+        p = pi[start:stop]
+        a, b, m = seen[:stop - start], event_free[:stop - start], inside[:stop - start]
+        # the indicator multiplies before the weight divides: an entry
+        # outside every region adds exactly 0.0
+        np.square(p, out=a)
+        np.less_equal(entry, col, out=m)
+        np.multiply(a, m, out=a)
+        np.divide(a, g_entry, out=a)
+        np.subtract(1.0, p, out=b)
+        np.square(b, out=b)
+        np.less(col, leave, out=m)
+        np.multiply(b, m, out=b)
+        np.divide(b, gt[start:stop, None], out=b)
+        np.add(a, b, out=a)
+        # C-ordered rows: each sums in the order of a 1-D mean over subjects
+        values[start:stop] = a.mean(axis=1)
     return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def check_horizon(horizon: float) -> None:
+    """Raise ValueError unless the score horizon is finite and positive."""
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +185,7 @@ def integrated_bbs(
     an explicit increasing `grid` overrides it.  If G hits zero inside the
     grid, the horizon is truncated to the last usable point with a warning.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    check_horizon(horizon)
     if grid is None:
         grid = np.linspace(horizon / n_points, horizon, n_points)
     else:

@@ -296,6 +296,8 @@ def read_predictions_csv(path):
     subject, t, pi = rows.T
     if not np.all(np.isfinite(subject) & (subject >= 0) & (subject == np.floor(subject))):
         raise ValueError("predictions CSV subject ids must be non-negative integers")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError("predictions CSV times must be finite and positive")
     if not np.all(np.isfinite(pi)):
         raise ValueError("predictions CSV pi values must be finite")
     if not np.all((pi >= 0.0) & (pi <= 1.0)):

@@ -241,6 +241,41 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_time", ["inf", "nan", "-0.5"])
+    def test_bad_prediction_times_are_2(self, tmp_path, capsys, bad_time):
+        data = tmp_path / "data.csv"
+        data.write_text("y1,delta1,y2,delta2,x1\n0.4,1,0.8,1,0.1\n1.0,0,1.0,0,0.2\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("subject,t,pi\n0,0.5,0.9\n1,0.5,0.8\n"
+                         f"0,{bad_time},0.7\n1,{bad_time},0.6\n")
+        summary = tmp_path / "summary.json"
+        code = main(["evaluate", "--data", str(data), "--preds", str(preds),
+                     "--out", str(tmp_path / "bbs.csv"), "--summary", str(summary)])
+        assert code == 2
+        assert "times must be finite and positive" in capsys.readouterr().err
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("horizon, message", [
+        ("inf", "horizon must be finite and positive, got inf"),
+        ("nan", "horizon must be finite and positive, got nan"),
+        ("0", "horizon must be finite and positive, got 0"),
+        ("0.2", "horizon 0.2 is before the first prediction time 0.5"),
+    ])
+    def test_bad_evaluate_horizon_is_2(self, tmp_path, capsys, horizon, message):
+        data = tmp_path / "data.csv"
+        data.write_text("y1,delta1,y2,delta2,x1\n0.4,1,0.8,1,0.1\n1.0,0,1.0,0,0.2\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("subject,t,pi\n0,0.5,0.9\n1,0.5,0.8\n")
+        code = main(["evaluate", "--data", str(data), "--preds", str(preds),
+                     "--horizon", horizon, "--out", str(tmp_path / "bbs.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_cv_bad_horizon_is_2(self, data_csv, capsys):
+        assert main(["cv", "--data", str(data_csv), "--model", "parametric",
+                     "--folds", "2", "--horizon", "inf"]) == 2
+        assert "horizon must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: doc.pop("theta"), "has no 'theta' field"),
         (lambda doc: doc["risk_model"].pop("sub_networks"), "has no 'sub_networks' field"),

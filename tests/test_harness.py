@@ -60,6 +60,14 @@ class TestCV:
         with pytest.raises(FoldTooSmallError):
             cv(ds, "parametric", folds=5, horizon=0.3)
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_horizon_is_rejected_before_any_fit(self, small_data, monkeypatch, horizon):
+        fits = []
+        monkeypatch.setattr("neuralscr.harness.fit_model", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            cv(small_data, "parametric", folds=2, horizon=horizon)
+        assert fits == []
+
     def test_neural_cv_runs(self, small_data):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

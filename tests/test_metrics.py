@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from neuralscr.core import Dataset
 from neuralscr.metrics import (
+    _BLOCK_ROWS,
     CensoringCurve,
     ExponentialCensoring,
     ZeroWeightError,
@@ -204,6 +206,82 @@ class TestBBSGrid:
             bbs(ds, np.full((1, 3), 0.5), external, np.array([1.0, 4.0, 5.0]))
 
 
+class TestBBSBlocks:
+    @pytest.mark.parametrize("length", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                        2 * _BLOCK_ROWS + 3])
+    def test_every_block_split_equals_per_time_scores_bit_for_bit(self, length):
+        ds, rng = tied_censored_dataset(length, 60, 1)
+        curve = reverse_km(ds)
+        grid = np.linspace(0.02, 0.9 * float(np.max(ds.y2)), length)
+        grid = grid[curve.evaluate(grid) > 0]
+        assert len(grid) == length
+        preds = rng.random((ds.n, length))
+        values = bbs(ds, preds, curve, grid)
+        for j, t in enumerate(grid):
+            assert values[j] == bbs_at_one_time(ds, preds[:, j], curve, float(t))
+
+    def test_zero_weight_in_a_later_block_names_its_time(self):
+        # the event at y1 = 3 needs G(3-) = 0, which only grid rows past the
+        # first block reach
+        ds = Dataset([3.0, 9.0], [1.0, 0.0], [3.5, 9.0], [1.0, 0.0], np.zeros((2, 0)))
+        external = CensoringCurve(times=np.array([2.0]), survival=np.array([0.0]))
+        grid = np.arange(1, 2 * _BLOCK_ROWS + 4) * 0.1
+        grid[_BLOCK_ROWS + 2:] += 3.0
+        first_bad = grid[_BLOCK_ROWS + 2]
+        with pytest.raises(ZeroWeightError, match=rf"t={first_bad}$"):
+            bbs(ds, np.full((2, len(grid)), 0.5), external, grid)
+
+    def test_event_free_subject_needs_g_at_t(self):
+        # G(t) = 0 from t = 2 while the subject stays event-free to 5
+        ds = Dataset([5.0], [0.0], [5.0], [0.0], np.zeros((1, 0)))
+        external = CensoringCurve(times=np.array([2.0]), survival=np.array([0.0]))
+        with pytest.raises(ZeroWeightError, match=r"t=2\.5"):
+            bbs(ds, np.full((1, 3), 0.5), external, np.array([1.0, 2.5, 4.0]))
+
+    @pytest.mark.parametrize("y1, delta1, y2, delta2, grid", [
+        # G(2.8-) is subnormal, but the grid ends before the entry at 2.8
+        ([0.5, 2.8, 1.0], [1.0, 1.0, 0.0], [0.8, 3.0, 1.0], [1.0, 1.0, 1.0],
+         [0.2, 0.6, 1.2, 2.0, 2.4]),
+        # G(t) is subnormal past 2.5, after every subject has left region 3
+        ([0.5, 1.0, 2.0], [1.0, 0.0, 0.0], [0.8, 1.0, 2.0], [1.0, 1.0, 0.0],
+         [0.2, 0.6, 1.2, 2.0, 2.6, 2.9]),
+    ], ids=["entry-weight", "grid-weight"])
+    def test_subnormal_weight_at_unused_points_stays_finite(self, y1, delta1, y2, delta2,
+                                                            grid):
+        ds = Dataset(y1, delta1, y2, delta2, np.zeros((3, 0)))
+        external = CensoringCurve(times=np.array([1.5, 2.5]), survival=np.array([0.5, 5e-324]))
+        grid = np.array(grid)
+        preds = np.random.default_rng(0).random((3, len(grid)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = bbs(ds, preds, external, grid)
+        assert np.all(np.isfinite(values))
+        for j, t in enumerate(grid):
+            assert values[j] == bbs_at_one_time(ds, preds[:, j], external, float(t))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5, np.inf])
+    def test_rejects_predictions_outside_zero_one(self, bad):
+        ds, rng = tied_censored_dataset(6, 10, 1)
+        preds = rng.random((10, 3))
+        preds[4, 1] = bad
+        with pytest.raises(ValueError, match=r"finite probabilities in \[0, 1\]"):
+            bbs(ds, preds, reverse_km(ds), np.array([0.2, 0.4, 0.6]))
+
+    def test_allocates_less_than_one_score_matrix(self):
+        cfg = SimConfig(n=8_000, theta=0.5, risk_kind="linear", censoring_target=0.25, seed=1)
+        ds, _ = simulate(cfg)
+        curve = reverse_km(ds)
+        grid = np.linspace(0.01, 1.0, 100)
+        preds = np.random.default_rng(1).random((ds.n, len(grid)))
+        tracemalloc.start()
+        try:
+            bbs(ds, preds, curve, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < preds.nbytes
+
+
 class TestIntegratedBBS:
     def test_constant_curve_time_average(self):
         # a constant BBS(t) = c integrates to c under time-averaging
@@ -258,6 +336,15 @@ class TestIntegratedBBS:
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], out.grid)
         assert out.grid[-1] < 2.0
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_a_horizon_that_is_not_finite_and_positive(self, horizon):
+        ds = Dataset([5.0], [0.0], [5.0], [0.0], np.zeros((1, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="horizon must be finite and positive"):
+                integrated_bbs(ds, lambda t: np.full((1, len(t)), 0.5),
+                               no_censoring_curve(), horizon=horizon)
 
     def test_scoring_emits_no_runtime_warning(self):
         # an external G that reaches zero at 2.5: the late subject's

@@ -197,6 +197,13 @@ class TestRunArtifacts:
         with pytest.raises(ValueError, match=message):
             read_predictions_csv(path)
 
+    @pytest.mark.parametrize("bad_time", ["inf", "nan", "-0.5"])
+    def test_predictions_reader_rejects_bad_times(self, tmp_path, bad_time):
+        path = tmp_path / "preds.csv"
+        path.write_text(f"subject,t,pi\n0,0.5,0.9\n1,0.5,0.8\n0,{bad_time},0.7\n1,{bad_time},0.6\n")
+        with pytest.raises(ValueError, match="times must be finite and positive"):
+            read_predictions_csv(path)
+
     def test_predictions_writer_needs_one_column_per_time(self, tmp_path):
         with pytest.raises(ValueError, match="one column per time"):
             write_predictions_csv([0.5], np.ones((3, 2)), tmp_path / "p.csv")
