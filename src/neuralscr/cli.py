@@ -2,7 +2,8 @@
 
 Subcommands: simulate, fit, predict, evaluate, cv, bootstrap,
 replicate-study.  A JSON config file supplies defaults; explicit flags win.
-Exit codes: 0 success, 2 validation error, 3 numeric failure.
+Exit codes: 0 success, 2 validation error or a missing optional dependency,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import numpy as np
 
 from . import harness
 from .core import DatasetValidationError, LinearRisk, validate_dataset
-from .em import EMConfig, EmptyRiskSetError
+from .em import EMConfig
+from .harness import NUMERIC_ERRORS
 from .likelihood import joint_event_free_survival
-from .metrics import ZeroWeightError, check_horizon, integrated_bbs, reverse_km
+from .metrics import check_horizon, integrated_bbs, reverse_km
 from .neural import NeuralRisk, TrainConfig
 from .serialize import (
     load_model,
@@ -33,21 +35,11 @@ from .serialize import (
     write_truth_csv,
 )
 from .simulate import SimConfig, simulate
-from .weibull import OptimizerFailureError, ParametricModel
+from .weibull import MissingExtraError, ParametricModel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
-
-NUMERIC_ERRORS = (
-    EmptyRiskSetError,
-    OptimizerFailureError,
-    ZeroWeightError,
-    FloatingPointError,
-    ZeroDivisionError,
-    np.linalg.LinAlgError,
-    RuntimeError,
-)
 
 
 def _load_config(path):
@@ -343,6 +335,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except DatasetValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MissingExtraError as err:
+        print(f"missing dependency: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except NUMERIC_ERRORS as err:
         print(f"numeric failure: {err}", file=sys.stderr)

@@ -14,20 +14,33 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import Dataset, ModelState
-from .em import EMConfig, LinearRiskSpec, run_em
+from .em import EMConfig, EmptyRiskSetError, LinearRiskSpec, run_em
 from .likelihood import joint_event_free_survival
 from .metrics import (
     CensoringCurve,
     ExponentialCensoring,
+    ZeroWeightError,
     check_horizon,
     integrated_bbs,
     reverse_km,
 )
 from .neural import NeuralRiskSpec, TrainConfig, derive_seed
 from .simulate import SimConfig, censoring_rate, risk_values, simulate, true_survival
-from .weibull import ParametricModel, fit_parametric
+from .weibull import OptimizerFailureError, ParametricModel, fit_parametric
 
 MODEL_KINDS = ("neural", "parametric", "linear")
+
+# Failures of the numbers rather than of the input or the code: the CLI exits
+# 3 on them, and a bootstrap resample that raises one counts as failed.
+NUMERIC_ERRORS = (
+    EmptyRiskSetError,
+    OptimizerFailureError,
+    ZeroWeightError,
+    FloatingPointError,
+    ZeroDivisionError,
+    np.linalg.LinAlgError,
+    RuntimeError,
+)
 
 # Shared-Weibull design of the score-validation study: shape 1.5 across all
 # transitions, scale calibrated so the no-censoring true integrated score
@@ -210,7 +223,9 @@ def bootstrap_baselines(
     """Resample subjects with replacement, refit, and band the baselines.
 
     Pointwise mean and 2.5/97.5 percentiles of Lambda_0g on a common grid
-    per transition.  Fails if more than 20% of the resample fits error out.
+    per transition.  A resample fit that raises a numeric or validation
+    error (:data:`NUMERIC_ERRORS`, ValueError) counts as failed, and more
+    than 20% failed fits fail the call; any other error propagates.
     """
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
@@ -231,7 +246,7 @@ def bootstrap_baselines(
                     [hz.cumulative(grids[g]) for g, hz in enumerate(fitted.baselines())]
                 )
             )
-        except Exception as err:  # noqa: BLE001 - resample failures are counted
+        except NUMERIC_ERRORS + (ValueError,) as err:
             failures += 1
             warnings.warn(f"bootstrap resample {r} failed: {err}", stacklevel=2)
     if failures > 0.2 * resamples or not curves:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Dataset, ModelState
-from .em import EMConfig, q_function
+from .em import EMConfig, LinearRiskSpec, NonConvergenceWarning, q_function, run_em
 from .frailty import FrailtyPosterior
 from .likelihood import SubjectTerms, evaluate_terms, event_log_terms
 
@@ -258,19 +258,14 @@ def loss_gradients(dataset, posteriors, state, config: TrainConfig, train_xi: bo
     return float(value), dW, dB, float(dxi)
 
 
-def parametric_theta_seed(dataset: Dataset) -> float:
-    """theta of a one-start Weibull fit, the EM seed of :class:`NeuralRiskSpec`.
-    Jittered restarts move that optimum by rounding only, so they are left to
-    the ``parametric`` model kind."""
-    # looked up at call time, so a wrapper put on weibull.fit_parametric sees it
-    from .weibull import fit_parametric
-
-    return fit_parametric(dataset, restarts=1).theta
-
-
 @dataclass
 class NeuralRiskSpec:
-    """N-step strategy for :func:`neuralscr.em.run_em`."""
+    """N-step strategy for :func:`neuralscr.em.run_em`.
+
+    theta starts at `theta_init`, else at the theta of a linear-risk EM fit
+    to the same data under the default :class:`EMConfig`; that fit needs no
+    scipy, and a capped one still gives a usable start, so its
+    NonConvergenceWarning is not passed on."""
 
     train: TrainConfig = TrainConfig()
     theta_init: Optional[float] = None
@@ -278,7 +273,9 @@ class NeuralRiskSpec:
     def initial_theta(self, dataset: Dataset) -> float:
         if self.theta_init is not None:
             return self.theta_init
-        return parametric_theta_seed(dataset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            return run_em(dataset, LinearRiskSpec()).state.theta
 
     def initial_risk_model(self, dataset: Dataset, rng):
         nets = [

@@ -3,7 +3,7 @@
 Maximizes the observed-data (frailty-integrated) log likelihood directly by
 quasi-Newton ascent on an unconstrained parameterization (log Weibull
 parameters, raw coefficients, log theta), restarted from jittered seeds.
-Also supplies the theta seed for neural EM fits.
+The one module that needs scipy, which the ``parametric`` extra installs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from .likelihood import joint_event_free_survival
 
 LOG_PARAM_BOUND = 20.0
 BETA_BOUND = 50.0
+
+
+class MissingExtraError(ImportError):
+    """scipy, which only the Weibull fit needs, is not installed."""
 
 
 class OptimizerFailureError(RuntimeError):
@@ -171,7 +175,13 @@ def fit_parametric(dataset: Dataset, restarts: int = 3, seed: int = 0) -> Parame
     """
     # the package's one use of scipy, imported here, so that a process that
     # fits no Weibull model never loads it
-    from scipy.optimize import minimize
+    try:
+        from scipy.optimize import minimize
+    except ImportError as err:
+        raise MissingExtraError(
+            "the parametric (Weibull) fit needs scipy; "
+            "install it with: pip install 'neuralscr[parametric]'"
+        ) from err
 
     p = dataset.p
     x0 = _initial_params(dataset)

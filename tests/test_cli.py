@@ -110,11 +110,24 @@ class TestFitPredictEvaluate:
         assert len(doc["baselines"]) == 3
 
 
+def run_python(script: str) -> str:
+    """Run `script` in a fresh interpreter that imports this checkout's
+    package; returns its stdout, after checking that it exited 0."""
+    src = str(Path(neuralscr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestColdProcess:
     def test_only_a_parametric_fit_loads_scipy(self, neural_model, tmp_path):
-        # the E-step's special functions and the theta search are local, so
-        # a fresh process that simulates, fits a linear model, predicts and
-        # scores never imports scipy; the Weibull fit imports it when called
+        # the E-step's special functions and the theta search are local, and
+        # the neural theta seed is a linear EM fit, so a fresh process that
+        # simulates, fits linear and neural models, predicts and scores never
+        # imports scipy; the Weibull fit imports it when called
         data, doc = neural_model
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
@@ -123,6 +136,9 @@ class TestColdProcess:
             ["simulate", "--n", "40", "--seed", "2", "--out", str(sim)],
             ["fit", "--data", str(sim), "--model", "linear", "--em-iterations", "5",
              "--seed", "0", "--out", str(tmp_path / "linear.json")],
+            ["fit", "--data", str(sim), "--model", "neural", "--em-iterations", "2",
+             "--epochs", "2", "--nodes", "4", "--layers", "1", "--seed", "0",
+             "--out", str(tmp_path / "neural.json")],
             ["predict", "--model", str(tmp_path / "linear.json"), "--data", str(sim),
              "--times", "0.2,0.5", "--out", str(tmp_path / "linear_preds.csv")],
             ["predict", "--model", str(model), "--data", str(data), "--times", "0.2,0.5",
@@ -144,14 +160,53 @@ class TestColdProcess:
             f"    code = neuralscr.cli.main({parametric!r})\n"
             "print(loaded, code)\n"
         )
-        src = str(Path(neuralscr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[] 0"
+        assert run_python(script).strip() == "[] 0"
         assert (tmp_path / "parametric.json").exists()
+        assert (tmp_path / "neural.json").exists()
+
+    def test_without_scipy_only_the_weibull_fits_fail(self, tmp_path):
+        # a finder that refuses scipy stands in for an install without the
+        # parametric extra, so nothing is uninstalled: every command that
+        # fits a Weibull model exits 2 and names the extra, and EM fits run
+        sim = tmp_path / "sim.csv"
+        fit = ["fit", "--data", str(sim), "--seed", "0", "--out", str(tmp_path / "m.json")]
+        commands = [
+            ["simulate", "--n", "40", "--seed", "2", "--out", str(sim)],
+            fit + ["--model", "parametric"],
+            ["bootstrap", "--data", str(sim), "--model", "parametric", "--resamples", "2",
+             "--seed", "0"],
+            ["replicate-study", "--study", "neural-em-validation", "--replicates", "1",
+             "--n", "40", "--seed", "0", "--out", str(tmp_path / "study.csv")],
+            fit + ["--model", "neural", "--em-iterations", "2", "--epochs", "2",
+                   "--nodes", "4", "--layers", "1"],
+            fit + ["--model", "linear", "--em-iterations", "5"],
+        ]
+        script = (
+            "import contextlib, io, sys, warnings\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "import neuralscr.cli\n"
+            "warnings.simplefilter('ignore')\n"
+            f"for argv in {commands!r}:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        code = neuralscr.cli.main(argv)\n"
+            "    print(argv[0], argv[argv.index('--model') + 1] if '--model' in argv else '-',\n"
+            "          code, 'neuralscr[parametric]' in err.getvalue())\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        )
+        assert run_python(script).splitlines() == [
+            "simulate - 0 False",
+            "fit parametric 2 True",
+            "bootstrap parametric 2 True",
+            "replicate-study - 2 True",
+            "fit neural 0 False",
+            "fit linear 0 False",
+            "False",
+        ]
 
 
 class TestCVAndStudy:

@@ -330,11 +330,11 @@ class TestRunEM:
             run_em(ds, spec, EMConfig(max_iterations=2, tolerance=1e-300, seed=0))
         assert calls["breslow_index"] == 3
 
-    @pytest.mark.parametrize("kind, pairs", [("linear", 0), ("neural", 1), ("parametric", 3)])
-    def test_theta_seed_is_one_optimizer_start(self, monkeypatch, kind, pairs):
-        # the neural spec seeds theta from one L-BFGS-B run plus its BFGS
-        # polish; the linear spec starts at 1.0, and the parametric kind
-        # keeps its three restarts
+    @pytest.mark.parametrize("kind, pairs", [("linear", 0), ("neural", 0), ("parametric", 3)])
+    def test_only_the_parametric_kind_runs_the_optimizer(self, monkeypatch, kind, pairs):
+        # the neural spec seeds theta from a linear-risk EM fit and the linear
+        # spec starts at 1.0, so neither calls scipy's minimize; the
+        # parametric kind keeps its three L-BFGS-B + BFGS restarts
         import scipy.optimize
 
         from neuralscr import harness

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from neuralscr import harness
 from neuralscr.em import EMConfig
 from neuralscr.harness import (
     FoldTooSmallError,
@@ -15,6 +16,7 @@ from neuralscr.harness import (
 from neuralscr.neural import TrainConfig
 from neuralscr.serialize import read_table_csv, write_table_csv
 from neuralscr.simulate import SimConfig, simulate
+from neuralscr.weibull import MissingExtraError
 
 FAST_EM = EMConfig(max_iterations=8, tolerance=1e-4, n_step_epochs_per_iteration=5, seed=0)
 FAST_TRAIN = TrainConfig(nodes=8, hidden_layers=1, l2_rate=1e-3,
@@ -99,6 +101,40 @@ class TestBootstrap:
                                       em_config=FAST_EM)
         assert np.all(res.lower <= res.upper + 1e-12)
         assert res.grids.shape == (3, 100)
+
+    @staticmethod
+    def failing_fits(monkeypatch, error, failing):
+        """Make the resample fits numbered in `failing` raise `error`."""
+        real, calls = harness.fit_model, []
+
+        def fit(*args, **kwargs):
+            calls.append(None)
+            if len(calls) in failing:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_model", fit)
+
+    def test_numeric_failures_count_under_the_20_percent_rule(self, small_data, monkeypatch):
+        self.failing_fits(monkeypatch, FloatingPointError("overflow"), {2})
+        with pytest.warns(UserWarning, match="resample 1 failed: overflow"):
+            res = bootstrap_baselines(small_data, "linear", resamples=5, seed=2,
+                                      em_config=FAST_EM)
+        assert res.n_failed == 1
+        assert res.curves.shape[0] == 4
+        self.failing_fits(monkeypatch, FloatingPointError("overflow"), {1, 4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RuntimeError, match="2/5 bootstrap refits failed"):
+                bootstrap_baselines(small_data, "linear", resamples=5, seed=2,
+                                    em_config=FAST_EM)
+
+    @pytest.mark.parametrize("error", [TypeError("a bug"),
+                                       MissingExtraError("pip install 'neuralscr[parametric]'")])
+    def test_other_errors_propagate(self, small_data, monkeypatch, error):
+        self.failing_fits(monkeypatch, error, {1})
+        with pytest.raises(type(error)):
+            bootstrap_baselines(small_data, "parametric", resamples=5, seed=2)
 
     def test_parametric_band_coverage_smoke(self):
         # truth Lambda01 = 2 t^2.25 within the band at most grid points

@@ -6,7 +6,8 @@ import pytest
 
 from neuralscr import _kernels
 from neuralscr.core import Dataset, ModelState, StepHazard, ZeroRisk
-from neuralscr.em import EMConfig, nelson_aalen_seed, q_function, run_em
+from neuralscr import neural as neural_module
+from neuralscr.em import EMConfig, LinearRiskSpec, nelson_aalen_seed, q_function, run_em
 from neuralscr.frailty import posterior
 from neuralscr.likelihood import evaluate_terms
 from neuralscr.neural import (
@@ -362,6 +363,24 @@ class TestTrainStep:
             if info.loss_trace[-1] < info.loss_trace[0]:
                 wins += 1
         assert wins >= 9
+
+
+class TestThetaSeed:
+    def test_seed_is_the_theta_of_a_linear_em_fit(self):
+        ds = random_dataset(np.random.default_rng(23), n=80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            linear = run_em(ds, LinearRiskSpec()).state.theta
+        assert NeuralRiskSpec().initial_theta(ds) == linear
+
+    def test_theta_init_wins_and_runs_no_seed_fit(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(23), n=80)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the seed fit ran")
+
+        monkeypatch.setattr(neural_module, "run_em", no_fit)
+        assert NeuralRiskSpec(theta_init=0.7).initial_theta(ds) == 0.7
 
 
 class TestMise:
