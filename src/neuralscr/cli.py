@@ -17,7 +17,6 @@ import numpy as np
 from . import harness
 from .core import DatasetValidationError, LinearRisk, validate_dataset
 from .em import EMConfig
-from .harness import NUMERIC_ERRORS
 from .likelihood import joint_event_free_survival
 from .metrics import check_horizon, integrated_bbs, reverse_km
 from .neural import NeuralRisk, TrainConfig
@@ -339,7 +338,7 @@ def main(argv=None) -> int:
     except MissingExtraError as err:
         print(f"missing dependency: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NUMERIC_ERRORS as err:
+    except harness.NUMERIC_ERRORS as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as err:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from neuralscr import _kernels
-from neuralscr.core import Dataset, ModelState, StepHazard, ZeroRisk
 from neuralscr import neural as neural_module
+from neuralscr.core import Dataset, ModelState, StepHazard, ZeroRisk
 from neuralscr.em import EMConfig, LinearRiskSpec, nelson_aalen_seed, q_function, run_em
 from neuralscr.frailty import posterior
 from neuralscr.likelihood import evaluate_terms
