@@ -17,11 +17,14 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # ---------------------------------------------------------------------------
-# Digamma and log-gamma of one non-negative float.  The E-step needs them
-# only at the three posterior shapes 1/theta + delta1 + delta2, so scalar
-# code does.  Both port the Cephes routines (Moshier 1989) as scipy.special's
-# `psi` and `gammaln` evaluate them, operation for operation, so they return
-# the same floats.
+# Digamma of one non-negative float.  The E-step needs it only at the three
+# posterior shapes 1/theta + delta1 + delta2, so scalar code does.  It ports
+# the Cephes routine (Moshier 1989) as scipy.special's `psi` evaluates it,
+# operation for operation, so it returns the same floats.  The matching
+# log-gamma terms need no port: they only ever enter as
+# lgamma(1/theta + k) - lgamma(1/theta), the log of the rising factorial
+# (1/theta)(1/theta + 1)...(1/theta + k - 1), whose k <= 2 factors are
+# logged directly.
 # ---------------------------------------------------------------------------
 
 _PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
@@ -38,16 +41,6 @@ _PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
 _PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
           0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
 
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-# the leading coefficient, 1.0, is implied
-_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-_MAXLGM = 2.556348e305
-
 
 def _polevl(x, coef):
     """coef[0] x^N + ... + coef[N] by Horner's rule."""
@@ -57,22 +50,10 @@ def _polevl(x, coef):
     return ans
 
 
-def _p1evl(x, coef):
-    """:func:`_polevl` with an implied leading coefficient 1.0."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _check_domain(x):
-    if x < 0.0:
-        raise ValueError("the gamma-function kernels take non-negative arguments")
-
-
 def psi(x: float) -> float:
     """Digamma of a non-negative float (-inf at 0, as scipy gives)."""
-    _check_domain(x)
+    if x < 0.0:
+        raise ValueError("psi takes non-negative arguments")
     if math.isnan(x) or x == math.inf:
         return x
     if x == 0.0:
@@ -104,51 +85,16 @@ def psi(x: float) -> float:
     return y + (math.log(x) - 0.5 / x - s)
 
 
-def lgamma(x: float) -> float:
-    """log Gamma(x) of a non-negative float (inf at 0, as scipy gives)."""
-    _check_domain(x)
-    if math.isnan(x) or x == math.inf:
-        return x
-    if x < 13.0:
-        # shift into [2, 3) by the recurrence, collecting the factors in z
-        z = 1.0
-        p = 0.0
-        u = x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            if u == 0.0:
-                return math.inf
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        p -= 2.0
-        x = x + p
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
-    if x > _MAXLGM:
-        return math.inf
-    # Stirling's series
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
-
-
 def gamma_shapes(inv_t: float):
-    """(a, psi(a), lgamma(a)) as (3,) arrays at the posterior Gamma shapes
-    a = 1/theta + delta1 + delta2 of a subject with 0, 1 and 2 events; index
-    them with the subject's event count.  a[k] is the same float sum that
-    inv_t + delta1 + delta2 gives."""
+    """(a, psi(a), lgamma(a) - lgamma(inv_t)) as (3,) arrays at the posterior
+    Gamma shapes a = 1/theta + delta1 + delta2 of a subject with 0, 1 and 2
+    events; index them with the subject's event count.  a[k] is the same
+    float sum that inv_t + delta1 + delta2 gives, and the third array is the
+    log rising factorial [0, log u, log u + log(u + 1)] at u = inv_t."""
     a = (inv_t, inv_t + 1.0, inv_t + 1.0 + 1.0)
-    return np.array(a), np.array([psi(v) for v in a]), np.array([lgamma(v) for v in a])
+    log_u = math.log(inv_t)
+    log_rising = (0.0, log_u, log_u + math.log(a[1]))
+    return np.array(a), np.array([psi(v) for v in a]), np.array(log_rising)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +222,11 @@ def dropout_mask(key, g, layer, rows, cols, q):
 # ---------------------------------------------------------------------------
 # Multi-task risk networks.
 #
-# The three sub-networks share one architecture and are packed into padded
-# tensors: W has shape (3, L, kmax, kmax), B has shape (3, L, kmax), and
-# dims = [p, k_1, ..., k_{L-1}, 1] gives the live block of each layer.
+# The three sub-networks share one architecture, dims = [p, k_1, ...,
+# k_{L-1}, 1].  W and B are nested lists: W[g][l] is the (k_{l+1}, k_l)
+# weight matrix of layer l of sub-network g, and B[g][l] its bias vector.
 # Hidden activations are relu, the output layer is linear with its bias
-# pinned at zero (never updated).  Padding entries stay exactly zero.
+# pinned at zero (never updated).
 #
 # Risk values are reference-centered: h(x) = F(x) - F(0), so the covariate
 # origin carries unit relative risk and the baselines keep the reference
@@ -290,10 +236,22 @@ def dropout_mask(key, g, layer, rows, cols, q):
 # ---------------------------------------------------------------------------
 
 
-def live_layers(W, B, dims, g):
-    """(weight, bias) views of the live blocks of packed sub-network g."""
-    return [(W[g, l, :dout, :din], B[g, l, :dout])
-            for l, (din, dout) in enumerate(zip(dims[:-1], dims[1:]))]
+def _flat(W, B):
+    """The arrays of nested W and B, weights first."""
+    return [a for params in (W, B) for net in params for a in net]
+
+
+def _views(flat, W, B):
+    """Views of a flat buffer, laid out as `_flat` lists them, nested and
+    shaped as W and B."""
+    parts = iter(np.split(flat, np.cumsum([a.size for a in _flat(W, B)])[:-1]))
+    return tuple([[next(parts).reshape(a.shape) for a in net] for net in nested]
+                 for nested in (W, B))
+
+
+def sum_of_squares(W, B):
+    """The l2 penalty's sum of every squared weight and bias."""
+    return sum(float(np.sum(a * a)) for a in _flat(W, B))
 
 
 def mlp(layers, A, masks=None):
@@ -332,9 +290,10 @@ def _with_reference_row(X):
     return np.concatenate((X, np.zeros((1, X.shape[1]))))
 
 
-def net_forward(W, B, dims, g, X):
-    """Deterministic centered forward pass of sub-network g: (n,) output."""
-    out = mlp_output(live_layers(W, B, dims, g), _with_reference_row(X))
+def net_forward(layers, X):
+    """Deterministic centered forward pass of one sub-network, given as its
+    (weight, bias) layers: (n,) output."""
+    out = mlp_output(layers, _with_reference_row(X))
     return out[:-1] - out[-1]
 
 
@@ -345,7 +304,7 @@ def q4(nf, xi, sum_elog, sum_egam):
     return -nf * xi * inv_t + (inv_t - 1.0) * sum_elog - inv_t * sum_egam - nf * math.lgamma(inv_t)
 
 
-def q_loss_eval(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2):
+def q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2):
     """Full-objective value -(Q1+Q2+Q3+Q4)/n + l2 * sum of squared weights
     and biases.
 
@@ -357,32 +316,33 @@ def q_loss_eval(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2):
     nf = float(X.shape[0])
     q = const_q123
     for g in range(3):
-        h = net_forward(W, B, dims, g, X)
+        h = net_forward(list(zip(W[g], B[g])), X)
         q += np.sum(ev[g] * h - egam * lam[g] * np.exp(h))
     q += q4(nf, xi, np.sum(elog), np.sum(egam))
-    return -q / nf + l2 * (np.sum(W * W) + np.sum(B * B))
+    return -q / nf + l2 * sum_of_squares(W, B)
 
 
 def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
                    dropout_q, rng_key, train_xi):
     """Training loss with dropout plus reverse-mode gradients.
 
-    Returns (loss, dW, dB, dxi).  Dropout masks are drawn from the splitmix64
-    stream at rng_key; dropout_q = 0.0 gives a deterministic pass.
+    Returns (loss, dW, dB, dxi), with dW and dB nested as W and B are.
+    Dropout masks, one per hidden layer of width dims[l + 1], are drawn from
+    the splitmix64 stream at rng_key; dropout_q = 0.0 gives a deterministic
+    pass.
     """
     n = X.shape[0]
     nf = float(n)
     Xa = _with_reference_row(X)
-    dW = np.zeros_like(W)
-    dB = np.zeros_like(B)
+    dW, dB = [], []
 
     q = const_q123
     for g in range(3):
-        layers = live_layers(W, B, dims, g)
+        layers = list(zip(W[g], B[g]))
         masks = None
         if dropout_q > 0.0:
-            masks = [dropout_mask(rng_key, g, l, n + 1, w.shape[0], dropout_q)
-                     for l, (w, _) in enumerate(layers[:-1])]
+            masks = [dropout_mask(rng_key, g, l, n + 1, k, dropout_q)
+                     for l, k in enumerate(dims[1:-1])]
         ins, zs = mlp(layers, Xa, masks)
         out = zs[-1][:, 0]
         h = out[:n] - out[n]
@@ -390,16 +350,18 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
         q += np.sum(ev[g] * h - mu)
 
         # d(loss)/dh_g with loss = -Q/n + penalty; the reference output
-        # receives minus the total upstream gradient
+        # receives minus the total upstream gradient, and the pinned output
+        # bias none
         dh = -(ev[g] - mu) / nf
         dZ = np.append(dh, -np.sum(dh))[:, None]
         last = len(layers) - 1
+        dw = [None] * len(layers)
+        db = [None] * last + [np.zeros(1)]
         for l in range(last, -1, -1):
             w = layers[l][0]
-            dout, din = w.shape
-            dW[g, l, :dout, :din] += dZ.T @ ins[l]
+            dw[l] = dZ.T @ ins[l]
             if l < last:
-                dB[g, l, :dout] += dZ.sum(axis=0)
+                db[l] = dZ.sum(axis=0)
             if l > 0:
                 # the output layer has one unit: its dZ @ w is an outer product
                 dZ = dZ * w if l == last else dZ @ w
@@ -408,14 +370,16 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
                 # relu gate by multiplication: wherever dZ is finite this
                 # zeroes the inactive units (a zero may come out as -0.0)
                 dZ *= zs[l - 1] > 0.0
+        dW.append(dw)
+        dB.append(db)
 
     sum_elog = np.sum(elog)
     sum_egam = np.sum(egam)
     q += q4(nf, xi, sum_elog, sum_egam)
 
-    loss = -q / nf + l2 * (np.sum(W * W) + np.sum(B * B))
-    dW += 2.0 * l2 * W
-    dB += 2.0 * l2 * B
+    loss = -q / nf + l2 * sum_of_squares(W, B)
+    for a, da in zip(_flat(W, B), _flat(dW, dB)):
+        da += 2.0 * l2 * a
 
     dxi = 0.0
     if train_xi != 0:
@@ -432,27 +396,25 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
     Runs `epochs` updates, recording the deterministic (dropout-off) loss
     before every update and once after the last; returns the parameters that
     achieved the lowest recorded loss.  The scalar xi gets its own step size
-    lr_xi.
+    lr_xi.  W0 and B0 are left as they are.
 
     Returns (W, B, xi, trace, diverged) where trace holds the recorded
     losses and diverged is 1 if a non-finite loss cut training short.
     """
-    W = W0.copy()
-    B = B0.copy()
+    # every weight and bias lives in one flat buffer, which W and B view
+    params = np.concatenate([a.ravel() for a in _flat(W0, B0)])
+    W, B = _views(params, W0, B0)
     xi = xi0
 
-    mW = np.zeros_like(W)
-    vW = np.zeros_like(W)
-    mB = np.zeros_like(B)
-    vB = np.zeros_like(B)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     mxi = 0.0
     vxi = 0.0
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    bestW = W.copy()
-    bestB = B.copy()
+    best = params.copy()
     best_xi = xi
     best_loss = np.inf
 
@@ -468,19 +430,18 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
             )
             # with dropout off the training pass already is the exact loss
             if dropout_q > 0.0:
-                cur = q_loss_eval(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2)
+                cur = q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
             else:
                 cur = train_loss
         else:
-            cur = q_loss_eval(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2)
+            cur = q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
         trace[epoch] = cur
         if not np.isfinite(cur):
             diverged = 1
             break
         if cur < best_loss:
             best_loss = cur
-            bestW[:] = W
-            bestB[:] = B
+            best[:] = params
             best_xi = xi
         if epoch == epochs:
             break
@@ -489,17 +450,14 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
 
-        mW = beta1 * mW + (1.0 - beta1) * dW
-        vW = beta2 * vW + (1.0 - beta2) * dW * dW
-        W -= lr * (mW / bc1) / (np.sqrt(vW / bc2) + eps)
-
-        mB = beta1 * mB + (1.0 - beta1) * dB
-        vB = beta2 * vB + (1.0 - beta2) * dB * dB
-        B -= lr * (mB / bc1) / (np.sqrt(vB / bc2) + eps)
+        grad = np.concatenate([d.ravel() for d in _flat(dW, dB)])
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
         if train_xi != 0:
             mxi = beta1 * mxi + (1.0 - beta1) * dxi
             vxi = beta2 * vxi + (1.0 - beta2) * dxi * dxi
             xi -= lr_xi * (mxi / bc1) / (math.sqrt(vxi / bc2) + eps)
 
-    return bestW, bestB, best_xi, trace, diverged
+    return (*_views(best, W0, B0), best_xi, trace, diverged)

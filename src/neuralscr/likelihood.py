@@ -206,15 +206,15 @@ def marginal_log_likelihood(dataset: Dataset, terms: SubjectTerms, theta: float)
     """Marginal (gamma integrated out) log likelihood of the observed data.
 
     Per subject: log Gamma(a~) - log Gamma(1/theta) - (1/theta) log theta
-    - a~ log(b~) + event terms; a~, b~ are the posterior Gamma parameters.
+    - a~ log(b~) + event terms; a~, b~ are the posterior Gamma parameters,
+    and the log-gamma difference is a log rising factorial.
     """
     inv_t = 1.0 / theta
-    shapes, _, lgamma_shapes = _kernels.gamma_shapes(inv_t)
+    shapes, _, log_rising = _kernels.gamma_shapes(inv_t)
     count = dataset.event_count
     b_tilde = inv_t + terms.b_tilde_sum
     ll = (
-        lgamma_shapes[count]
-        - math.lgamma(inv_t)
+        log_rising[count]
         - inv_t * math.log(theta)
         - shapes[count] * np.log(b_tilde)
         + np.sum(terms.event_terms, axis=0)

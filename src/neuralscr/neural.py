@@ -62,17 +62,29 @@ def default_grid() -> tuple:
 
 
 class RiskNetwork:
-    """One sub-network: weight matrices W_l (k_out x k_in) and bias vectors."""
+    """One sub-network: weight matrices W_l (k_out x k_in) and bias vectors,
+    copied from the arrays given, whose shapes must chain."""
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
+        self.weights = [np.array(w, dtype=float) for w in weights]
+        self.biases = [np.array(b, dtype=float) for b in biases]
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError("weights and biases must pair up, one per layer")
+        if any(w.ndim != 2 for w in self.weights) or any(b.ndim != 1 for b in self.biases):
+            raise ValueError("weights must be matrices and biases vectors")
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            din = self.weights[l - 1].shape[0] if l else w.shape[1]
+            if w.shape[1] != din or b.shape != (w.shape[0],):
+                raise ValueError(f"layer {l} has W {w.shape} and b {b.shape}; "
+                                 f"expected W (k, {din}) and b (k,)")
         if self.weights[-1].shape[0] != 1:
             raise ValueError("output layer must have a single unit")
         if np.any(self.biases[-1] != 0.0):
             raise ValueError("output bias is constrained to zero")
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(self.weights, self.biases))
 
     @property
     def input_dim(self) -> int:
@@ -102,42 +114,14 @@ def forward(network: RiskNetwork, x) -> float | np.ndarray:
         raise ValueError(
             f"expected covariate dimension {network.input_dim}, got {a.shape[1]}"
         )
-    out = _kernels.mlp_output(list(zip(network.weights, network.biases)), a)
+    out = _kernels.mlp_output(network.layers, a)
     return float(out[0]) if single else out
 
 
-def pack_networks(networks: Sequence[RiskNetwork]):
-    """Pad the three sub-networks into (3, L, kmax, kmax) / (3, L, kmax) tensors."""
-    if len(networks) != 3:
-        raise ValueError("expected three sub-networks")
-    dims0 = networks[0].layer_dims
-    for net in networks[1:]:
-        if net.layer_dims != dims0:
-            raise ValueError("sub-networks must share one architecture")
-    dims = np.asarray(dims0, dtype=np.int64)
-    n_layers = len(dims0) - 1
-    kmax = int(max(dims0))
-    W = np.zeros((3, n_layers, kmax, kmax))
-    B = np.zeros((3, n_layers, kmax))
-    for g, net in enumerate(networks):
-        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            W[g, l, : w.shape[0], : w.shape[1]] = w
-            B[g, l, : b.shape[0]] = b
-    return W, B, dims
-
-
-def unpack_networks(W: np.ndarray, B: np.ndarray, dims: np.ndarray) -> list[RiskNetwork]:
-    nets = []
-    n_layers = len(dims) - 1
-    for g in range(3):
-        weights = [W[g, l, : dims[l + 1], : dims[l]].copy() for l in range(n_layers)]
-        biases = [B[g, l, : dims[l + 1]].copy() for l in range(n_layers)]
-        nets.append(RiskNetwork(weights, biases))
-    return nets
-
-
 class NeuralRisk:
-    """Risk model backed by the packed three-network tensors.
+    """Risk model of three sub-networks that share one architecture, dims =
+    [p, k_1, ..., 1].  `W` and `B` hand the training kernels the networks'
+    own weight and bias arrays, nested by sub-network and layer.
 
     Risk values are reference-centered, h_g(x) = F_g(x) - F_g(0), so a
     zero-covariate subject carries unit relative risk and the baselines keep
@@ -146,22 +130,24 @@ class NeuralRisk:
     """
 
     def __init__(self, networks: Sequence[RiskNetwork]):
-        self.W, self.B, self.dims = pack_networks(networks)
-
-    @classmethod
-    def _from_packed(cls, W, B, dims) -> "NeuralRisk":
-        obj = cls.__new__(cls)
-        obj.W, obj.B, obj.dims = W, B, dims
-        return obj
+        self.networks = list(networks)
+        if len(self.networks) != 3:
+            raise ValueError("expected three sub-networks")
+        self.dims = self.networks[0].layer_dims
+        if any(net.layer_dims != self.dims for net in self.networks):
+            raise ValueError("sub-networks must share one architecture")
 
     @property
-    def networks(self) -> list[RiskNetwork]:
-        return unpack_networks(self.W, self.B, self.dims)
+    def W(self) -> list[list[np.ndarray]]:
+        return [net.weights for net in self.networks]
+
+    @property
+    def B(self) -> list[list[np.ndarray]]:
+        return [net.biases for net in self.networks]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        cols = [_kernels.net_forward(self.W, self.B, self.dims, g, x) for g in range(3)]
-        return np.column_stack(cols)
+        return np.column_stack([_kernels.net_forward(net.layers, x) for net in self.networks])
 
 
 def _loss_inputs(dataset: Dataset, terms: SubjectTerms, posteriors: FrailtyPosterior):
@@ -186,7 +172,7 @@ def loss(dataset: Dataset, posteriors: FrailtyPosterior, state: ModelState,
     penalty = 0.0
     if l2_rate > 0 and isinstance(state.risk_model, NeuralRisk):
         risk = state.risk_model
-        penalty = l2_rate * float(np.sum(risk.W**2) + np.sum(risk.B**2))
+        penalty = l2_rate * _kernels.sum_of_squares(risk.W, risk.B)
     return -qv.total / dataset.n + penalty
 
 
@@ -236,7 +222,7 @@ def train_step(
             DivergedLossWarning,
             stacklevel=2,
         )
-    new_risk = NeuralRisk._from_packed(W, B, risk.dims)
+    new_risk = NeuralRisk([RiskNetwork(w, b) for w, b in zip(W, B)])
     finite = trace[np.isfinite(trace)]
     info = TrainStepInfo(
         loss_trace=trace,

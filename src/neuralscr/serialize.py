@@ -132,22 +132,17 @@ def _theta(doc) -> float:
 
 
 def _network_from_json(layers, what: str) -> RiskNetwork:
-    """A sub-network whose layer shapes chain: layer l maps k_l inputs to
-    k_{l+1} outputs, with a k_{l+1}-vector bias."""
     if not isinstance(layers, list) or not layers:
         raise ValueError(f"model JSON: {what} must be a nonempty list of layers")
     weights, biases = [], []
     for l, layer in enumerate(layers):
         where = f"{what} layer {l}"
-        w = _finite_array(_field(layer, "W", where), 2, f"{where} W")
-        b = _finite_array(_field(layer, "b", where), 1, f"{where} b")
-        din = weights[-1].shape[0] if weights else w.shape[1]
-        if w.shape[1] != din or b.shape != (w.shape[0],):
-            raise ValueError(f"model JSON: {where} has W {w.shape} and b {b.shape}; "
-                             f"expected W (k, {din}) and b (k,)")
-        weights.append(w)
-        biases.append(b)
-    return RiskNetwork(weights, biases)
+        weights.append(_finite_array(_field(layer, "W", where), 2, f"{where} W"))
+        biases.append(_finite_array(_field(layer, "b", where), 1, f"{where} b"))
+    try:
+        return RiskNetwork(weights, biases)
+    except ValueError as err:
+        raise ValueError(f"model JSON: {what} {err}") from None
 
 
 def state_to_json(state: ModelState) -> dict:

@@ -114,12 +114,12 @@ def _loglik_and_grad(params: np.ndarray, dataset: Dataset, inv: _Invariants = No
     lam = np.array([inv.on[g] * phi[g, 0] * np.exp(phi[g, 1] * inv.log_exposure[g])
                     for g in range(3)])  # (3, n)
 
-    shapes, psi_shapes, lgamma_shapes = _kernels.gamma_shapes(inv_t)
+    shapes, psi_shapes, log_rising = _kernels.gamma_shapes(inv_t)
     count = dataset.event_count
     a_tilde = shapes[count]
     b_tilde = inv_t + sum(lam[g] * eh[:, g] for g in range(3))
 
-    ll = np.sum(lgamma_shapes[count]) - dataset.n * (math.lgamma(inv_t) + inv_t * log_theta)
+    ll = np.sum(log_rising[count]) - dataset.n * inv_t * log_theta
     ll -= float(np.sum(a_tilde * np.log(b_tilde)))
     for g in range(3):
         ll += float(

@@ -80,6 +80,36 @@ def event_anchored_state(rng, dataset, theta=None, risk="linear"):
     )
 
 
+def worst_gradient_error(f, W, B, xi, dW, dB, dxi, eps=1e-5):
+    """The largest relative gap between the analytic gradients (dW, dB, dxi)
+    and central differences of the loss f(W, B, xi).
+
+    W and B are nested per sub-network and layer, as the training kernels
+    take them; every weight, every hidden bias and xi is stepped by +-eps in
+    turn on a copy.  The output biases are pinned at zero and skipped.
+    """
+    W = [[w.copy() for w in net] for net in W]
+    B = [[b.copy() for b in net] for net in B]
+    live = [(a, da) for params, grads in ((W, dW), (B, dB))
+            for net, dnet in zip(params, grads)
+            for a, da in zip(net[:-1] if params is B else net, dnet)]
+
+    def gap(num, exact):
+        return abs(num - exact) / max(abs(num), 1e-7)
+
+    worst = 0.0
+    for a, da in live:
+        for idx in np.ndindex(a.shape):
+            v = a[idx]
+            a[idx] = v + eps
+            up = f(W, B, xi)
+            a[idx] = v - eps
+            down = f(W, B, xi)
+            a[idx] = v
+            worst = max(worst, gap((up - down) / (2 * eps), da[idx]))
+    return max(worst, gap((f(W, B, xi + eps) - f(W, B, xi - eps)) / (2 * eps), dxi))
+
+
 @pytest.fixture(scope="session")
 def linear_sim_small():
     """One simulated linear dataset reused by several test modules."""

@@ -26,7 +26,7 @@ from neuralscr.metrics import ExponentialCensoring, bbs
 from neuralscr.neural import TrainConfig, loss_gradients
 from neuralscr.simulate import SimConfig, risk_values, simulate, true_survival
 
-from conftest import event_anchored_state, random_dataset
+from conftest import event_anchored_state, random_dataset, worst_gradient_error
 from test_neural import neural_state
 
 warnings.filterwarnings("ignore")
@@ -206,32 +206,13 @@ class TestCriterion5PropertySuite:
 
             risk = state.risk_model
             x, ev, lam, const = _loss_inputs(ds, evaluate_terms(ds, state), post)
-            xi = math.log(state.theta)
 
             def f(W, B, xi_):
-                return _kernels.q_loss_eval(W, B, risk.dims, x, ev, lam,
+                return _kernels.q_loss_eval(W, B, x, ev, lam,
                                             post.mean, post.log_mean, const, xi_, 1e-3)
 
-            eps = 1e-5
-            dims = risk.dims
-            W0, B0 = risk.W.copy(), risk.B.copy()
-            for g in range(3):
-                for l in range(len(dims) - 1):
-                    for i in range(dims[l + 1]):
-                        for j in range(dims[l]):
-                            Wp, Wm = W0.copy(), W0.copy()
-                            Wp[g, l, i, j] += eps
-                            Wm[g, l, i, j] -= eps
-                            num = (f(Wp, B0, xi) - f(Wm, B0, xi)) / (2 * eps)
-                            worst = max(worst, abs(num - dW[g, l, i, j]) / max(abs(num), 1e-7))
-                        if l < len(dims) - 2:
-                            Bp, Bm = B0.copy(), B0.copy()
-                            Bp[g, l, i] += eps
-                            Bm[g, l, i] -= eps
-                            num = (f(W0, Bp, xi) - f(W0, Bm, xi)) / (2 * eps)
-                            worst = max(worst, abs(num - dB[g, l, i]) / max(abs(num), 1e-7))
-            num = (f(W0, B0, xi + eps) - f(W0, B0, xi - eps)) / (2 * eps)
-            worst = max(worst, abs(dxi - num) / max(abs(num), 1e-7))
+            worst = max(worst, worst_gradient_error(f, risk.W, risk.B, math.log(state.theta),
+                                                    dW, dB, dxi))
         ok = report("criterion 5a (gradient check)", worst < 1e-4,
                     f"worst relative error {worst:.2e} (< 1e-4)")
         assert ok

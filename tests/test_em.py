@@ -718,7 +718,8 @@ class TestEventGrids:
             except (ArithmeticError, ValueError) as err:
                 return type(err).__name__
         rm = res.state.risk_model
-        params = [rm.beta] if hasattr(rm, "beta") else [rm.W, rm.B]
+        params = [rm.beta] if hasattr(rm, "beta") else [
+            a for net in rm.networks for a in net.weights + net.biases]
         return (res.trace_rows(), res.state.theta,
                 [b.jump_sizes for b in res.state.baselines], params)
 

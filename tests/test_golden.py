@@ -13,9 +13,11 @@ turns a last-bit change in a special function into a larger shift of its
 stopping point.  "Relative" is taken against the largest magnitude in each
 array, so entries near zero do not dominate.
 
-Rewrite the file only for a change that is meant to move the numbers:
+Rewrite an entry only for a change that is meant to move its numbers, and
+name each entry to rewrite, as `kernels` or `fits` or as one of their keys;
+every other entry keeps its bytes:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write fits.neural_em
 """
 
 import json
@@ -45,6 +47,16 @@ def _arr(a):
     return np.asarray(a, dtype=float).tolist()
 
 
+def _padded(nested):
+    """Per-network, per-layer arrays zero-padded into the stored layout:
+    (3, 3, 4, 4) for weights, (3, 3, 4) for biases."""
+    out = np.zeros((3, 3) + (4,) * nested[0][0].ndim)
+    for g, net in enumerate(nested):
+        for l, a in enumerate(net):
+            out[(g, l) + tuple(slice(k) for k in a.shape)] = a
+    return _arr(out)
+
+
 def kernel_values() -> dict:
     rng = np.random.default_rng(12345)
     out = {}
@@ -66,15 +78,16 @@ def kernel_values() -> dict:
 
     out["uniform_block"] = _arr(_kernels.uniform_block(0xF1E2D3C4B5A69788, 64))
 
-    dims = np.array([2, 4, 4, 1], dtype=np.int64)
-    W = np.zeros((3, 3, 4, 4))
-    B = np.zeros((3, 3, 4))
+    # three sub-networks of layer widths 2-4-4-1; the output bias stays zero
+    dims = [2, 4, 4, 1]
+    W, B = [], []
     for g in range(3):
+        W.append([])
+        B.append([])
         for l in range(3):
             din, dout = dims[l], dims[l + 1]
-            W[g, l, :dout, :din] = rng.normal(0, 0.5, size=(dout, din))
-            if l < 2:
-                B[g, l, :dout] = rng.normal(0, 0.2, size=dout)
+            W[g].append(rng.normal(0, 0.5, size=(dout, din)))
+            B[g].append(rng.normal(0, 0.2, size=dout) if l < 2 else np.zeros(1))
     X = rng.normal(size=(30, 2))
     evm = (rng.random((3, 30)) < 0.4).astype(float)
     lam = rng.uniform(0.05, 0.6, size=(3, 30))
@@ -82,15 +95,16 @@ def kernel_values() -> dict:
     elog = rng.normal(-0.1, 0.3, size=30)
     data = (X, evm, lam, egam, elog, 1.2, math.log(0.6))
 
-    out["net_forward"] = [_arr(_kernels.net_forward(W, B, dims, g, X)) for g in range(3)]
-    out["q_loss_eval"] = float(_kernels.q_loss_eval(W, B, dims, *data, 1e-3))
+    out["net_forward"] = [_arr(_kernels.net_forward(list(zip(W[g], B[g])), X)) for g in range(3)]
+    out["q_loss_eval"] = float(_kernels.q_loss_eval(W, B, *data, 1e-3))
     for name, q in (("loss_and_grads", 0.0), ("loss_and_grads_dropout", 0.25)):
         value, dW, dB, dxi = _kernels.loss_and_grads(
             W, B, dims, *data, 1e-3, q, 0x0123456789ABCDEF, 1)
-        out[name] = {"loss": float(value), "dW": _arr(dW), "dB": _arr(dB), "dxi": float(dxi)}
+        out[name] = {"loss": float(value), "dW": _padded(dW), "dB": _padded(dB),
+                     "dxi": float(dxi)}
     Wt, Bt, xi, trace, diverged = _kernels.train_networks(
         W, B, dims, *data, 1e-2, 0.05, 0.25, 1e-3, 8, 777, 1)
-    out["train_networks"] = {"W": _arr(Wt), "B": _arr(Bt), "xi": float(xi),
+    out["train_networks"] = {"W": _padded(Wt), "B": _padded(Bt), "xi": float(xi),
                              "trace": _arr(trace), "diverged": int(diverged)}
     return out
 
@@ -195,8 +209,25 @@ class TestFittedGolden:
         assert_close(got["loglik"], ref["loglik"], LOGLIK_RTOL, "loglik")
 
 
+def write(entries):
+    """Recompute the named entries and splice them into the stored file."""
+    doc = json.loads(GOLDEN.read_text())
+    fresh = {}
+    for entry in entries:
+        section, _, key = entry.partition(".")
+        if section not in doc or (key and key not in doc[section]):
+            sys.exit(f"unknown golden entry {entry!r}")
+        if section not in fresh:
+            fresh[section] = {"kernels": kernel_values, "fits": fitted_values}[section]()
+        if key:
+            doc[section][key] = fresh[section][key]
+        else:
+            doc[section] = fresh[section]
+    GOLDEN.write_text(json.dumps(doc) + "\n")
+    print(f"wrote {', '.join(entries)} to {GOLDEN}")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:2] != ["--write"] or len(sys.argv) < 3:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps({"kernels": kernel_values(), "fits": fitted_values()}) + "\n")
-    print(f"wrote {GOLDEN}")
+    write(sys.argv[2:])

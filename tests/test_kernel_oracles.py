@@ -49,16 +49,16 @@ def reference_mask(key, g, layer, rows, cols, q):
 def reference_loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
                              dropout_q, rng_key):
     """The training loss and its gradients, written with np.where and
-    matmuls only (xi is trained)."""
+    matmuls only (xi is trained).  W[g][l] and B[g][l] are the layers of
+    sub-network g; dW and dB come back nested the same way."""
     n = X.shape[0]
     nf = float(n)
     Xa = np.concatenate((X, np.zeros((1, X.shape[1]))))
-    dW = np.zeros_like(W)
-    dB = np.zeros_like(B)
+    dW = [[np.zeros_like(w) for w in net] for net in W]
+    dB = [[np.zeros_like(b) for b in net] for net in B]
     q = const_q123
     for g in range(3):
-        layers = [(W[g, l, :dout, :din], B[g, l, :dout])
-                  for l, (din, dout) in enumerate(zip(dims[:-1], dims[1:]))]
+        layers = list(zip(W[g], B[g]))
         masks = None
         if dropout_q > 0.0:
             masks = [reference_mask(rng_key, g, l, n + 1, w.shape[0], dropout_q)
@@ -80,10 +80,9 @@ def reference_loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi,
         dZ = np.append(dh, -np.sum(dh))[:, None]
         for l in range(len(layers) - 1, -1, -1):
             w = layers[l][0]
-            dout, din = w.shape
-            dW[g, l, :dout, :din] += dZ.T @ ins[l]
+            dW[g][l] += dZ.T @ ins[l]
             if l < len(layers) - 1:
-                dB[g, l, :dout] += dZ.sum(axis=0)
+                dB[g][l] += dZ.sum(axis=0)
             if l > 0:
                 dH = dZ @ w
                 if masks is not None:
@@ -92,9 +91,12 @@ def reference_loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi,
     sum_elog = np.sum(elog)
     sum_egam = np.sum(egam)
     q += _kernels.q4(nf, xi, sum_elog, sum_egam)
-    loss = -q / nf + l2 * (np.sum(W * W) + np.sum(B * B))
-    dW += 2.0 * l2 * W
-    dB += 2.0 * l2 * B
+    arrays = [a for params in (W, B) for net in params for a in net]
+    loss = -q / nf + l2 * sum(float(np.sum(a * a)) for a in arrays)
+    for params, grads in ((W, dW), (B, dB)):
+        for net, dnet in zip(params, grads):
+            for a, da in zip(net, dnet):
+                da += 2.0 * l2 * a
     inv_t = 1.0 / math.exp(xi)
     dxi = float(-(inv_t * (nf * (xi - 1.0 + psi(inv_t)) - sum_elog + sum_egam)) / nf)
     return loss, dW, dB, dxi
@@ -130,23 +132,15 @@ class TestSplitmix64:
 
 def training_inputs(seed, n, dims):
     rng = np.random.default_rng(seed)
-    dims = np.asarray(dims, dtype=np.int64)
-    n_layers = len(dims) - 1
-    kmax = int(dims.max())
-    W = np.zeros((3, n_layers, kmax, kmax))
-    B = np.zeros((3, n_layers, kmax))
-    for g in range(3):
-        for l in range(n_layers):
-            din, dout = dims[l], dims[l + 1]
-            W[g, l, :dout, :din] = rng.normal(0, 0.6, size=(dout, din))
-            if l < n_layers - 1:
-                B[g, l, :dout] = rng.normal(0, 0.2, size=dout)
+    W = [[rng.normal(0, 0.6, size=(dout, din)) for din, dout in zip(dims[:-1], dims[1:])]
+         for _ in range(3)]
+    B = [[rng.normal(0, 0.2, size=k) for k in dims[1:-1]] + [np.zeros(1)] for _ in range(3)]
     X = rng.normal(size=(n, dims[0]))
     ev = (rng.random((3, n)) < 0.4).astype(float)
     lam = rng.uniform(0.05, 0.6, size=(3, n))
     egam = rng.uniform(0.5, 1.8, size=n)
     elog = rng.normal(-0.1, 0.3, size=n)
-    return W, B, dims, X, ev, lam, egam, elog, 1.3, math.log(0.7)
+    return W, B, list(dims), X, ev, lam, egam, elog, 1.3, math.log(0.7)
 
 
 class TestLossAndGrads:
@@ -159,8 +153,11 @@ class TestLossAndGrads:
         loss, dW, dB, dxi = _kernels.loss_and_grads(*args, 1e-3, dropout_q, rng_key, 1)
         ref = reference_loss_and_grads(*args, 1e-3, dropout_q, rng_key)
         assert loss == ref[0]
-        np.testing.assert_array_equal(dW, ref[1])
-        np.testing.assert_array_equal(dB, ref[2])
+        for got, want in ((dW, ref[1]), (dB, ref[2])):
+            assert [[a.shape for a in net] for net in got] == \
+                [[a.shape for a in net] for net in want]
+            for a, b in zip(sum(got, []), sum(want, [])):
+                np.testing.assert_array_equal(a, b)
         assert dxi == ref[3]
 
 

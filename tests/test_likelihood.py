@@ -15,6 +15,7 @@ from neuralscr.core import (
 from neuralscr.likelihood import (
     case_log_likelihood,
     complete_data_log_likelihood,
+    evaluate_terms,
     joint_event_free_survival,
     observed_log_likelihood,
 )
@@ -128,6 +129,37 @@ class TestObservedLikelihood:
     def test_trivial_zero_contribution(self):
         ds = Dataset([1.0], [0.0], [1.0], [0.0], np.zeros((1, 0)))
         assert observed_log_likelihood(ds, zero_state()) == pytest.approx(0.0, abs=1e-12)
+
+    @staticmethod
+    def closed_form(ds, state):
+        """Per subject: log u + ... + log(u + k - 1) for its k events at
+        u = 1/theta, the rest of the marginal log likelihood as the program
+        writes it."""
+        terms = evaluate_terms(ds, state)
+        u = 1.0 / state.theta
+        count = (ds.delta1 + ds.delta2).astype(int)
+        rising = np.array([math.fsum(math.log(u + j) for j in range(k)) for k in count])
+        a = u + ds.delta1 + ds.delta2
+        return (rising - u * math.log(state.theta) - a * np.log(u + terms.b_tilde_sum)
+                + np.sum(terms.event_terms, axis=0))
+
+    def test_small_theta_keeps_the_rising_factorial_digits(self):
+        # at theta = 1e-4, lgamma(1/theta + k) - lgamma(1/theta) would
+        # cancel about four digits of two log-gammas near 8e4
+        rng = np.random.default_rng(31)
+        ds = random_dataset(rng, n=200)
+        state = event_anchored_state(rng, ds, theta=1e-4)
+        expected = float(np.sum(self.closed_form(ds, state)))
+        assert observed_log_likelihood(ds, state) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [2.0, 50.0])
+    def test_no_event_subjects_carry_no_log_gamma_residue(self, theta):
+        rng = np.random.default_rng(32)
+        ds = random_dataset(rng, n=120)
+        state = event_anchored_state(rng, ds, theta=theta)
+        quiet = ds.subset(np.flatnonzero(ds.delta1 + ds.delta2 == 0))
+        assert quiet.n > 10
+        assert observed_log_likelihood(quiet, state) == float(np.sum(self.closed_form(quiet, state)))
 
     def test_matches_gamma_quadrature(self):
         rng = np.random.default_rng(29)

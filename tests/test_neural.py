@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from neuralscr.neural import (
 from neuralscr.simulate import SimConfig, risk_values, simulate
 from neuralscr.weibull import fit_parametric
 
-from conftest import random_dataset
+from conftest import random_dataset, worst_gradient_error
 
 
 def straight_line_forward(net: RiskNetwork, x):
@@ -150,6 +151,18 @@ class TestForward:
         with pytest.raises(ValueError):
             RiskNetwork([np.zeros((1, 2))], [np.array([0.5])])
 
+    @pytest.mark.parametrize("weights, biases, message", [
+        ([np.zeros((4, 2)), np.zeros((1, 3))], [np.zeros(4), np.zeros(1)],
+         "layer 1 has W (1, 3) and b (1,); expected W (k, 4)"),
+        ([np.zeros((4, 2)), np.zeros((1, 4))], [np.zeros(3), np.zeros(1)],
+         "layer 0 has W (4, 2) and b (3,)"),
+        ([np.zeros(2)], [np.zeros(1)], "weights must be matrices"),
+        ([np.zeros((4, 2))], [], "pair up"),
+    ], ids=["unchained-layer", "bias-shape", "vector-weight", "unpaired"])
+    def test_layers_must_chain(self, weights, biases, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RiskNetwork(weights, biases)
+
 
 class TestDropoutMask:
     """The counter-based splitmix64 mask, the one dropout of the N-step."""
@@ -202,14 +215,14 @@ class TestNeuralRiskValues:
             ref = forward(nets[g], np.zeros(2))
             np.testing.assert_allclose(vals[:, g], forward(nets[g], xs) - ref, rtol=1e-12)
 
-    def test_pack_unpack_roundtrip(self):
+    def test_networks_are_copies_of_the_arrays_given(self):
         rng = np.random.default_rng(14)
         nets = jittered_networks(rng)
-        risk = NeuralRisk(nets)
-        back = risk.networks
-        for a, b in zip(nets, back):
-            for wa, wb in zip(a.weights, b.weights):
-                np.testing.assert_array_equal(wa, wb)
+        weights = [w.copy() for w in nets[0].weights]
+        risk = NeuralRisk([RiskNetwork(weights, nets[0].biases), nets[1], nets[2]])
+        before = risk.values(np.ones((1, 2)))
+        weights[0] += 1.0
+        np.testing.assert_array_equal(risk.values(np.ones((1, 2))), before)
 
 
 class TestLoss:
@@ -262,7 +275,6 @@ class TestLoss:
 
 class TestGradients:
     def test_gradients_match_finite_differences(self):
-        from neuralscr import _kernels
         from neuralscr.neural import _loss_inputs
 
         rng = np.random.default_rng(18)
@@ -273,34 +285,13 @@ class TestGradients:
         _, dW, dB, dxi = loss_gradients(ds, post, state, cfg)
         risk = state.risk_model
         x, ev, lam, const = _loss_inputs(ds, evaluate_terms(ds, state), post)
-        xi = math.log(state.theta)
 
         def f(W, B, xi_):
             return _kernels.q_loss_eval(
-                W, B, risk.dims, x, ev, lam, post.mean, post.log_mean, const, xi_, cfg.l2_rate
+                W, B, x, ev, lam, post.mean, post.log_mean, const, xi_, cfg.l2_rate
             )
 
-        eps = 1e-5
-        dims = risk.dims
-        W0, B0 = risk.W.copy(), risk.B.copy()
-        worst = 0.0
-        for g in range(3):
-            for l in range(len(dims) - 1):
-                for i in range(dims[l + 1]):
-                    for j in range(dims[l]):
-                        Wp, Wm = W0.copy(), W0.copy()
-                        Wp[g, l, i, j] += eps
-                        Wm[g, l, i, j] -= eps
-                        num = (f(Wp, B0, xi) - f(Wm, B0, xi)) / (2 * eps)
-                        worst = max(worst, abs(num - dW[g, l, i, j]) / max(abs(num), 1e-7))
-                    if l < len(dims) - 2:
-                        Bp, Bm = B0.copy(), B0.copy()
-                        Bp[g, l, i] += eps
-                        Bm[g, l, i] -= eps
-                        num = (f(W0, Bp, xi) - f(W0, Bm, xi)) / (2 * eps)
-                        worst = max(worst, abs(num - dB[g, l, i]) / max(abs(num), 1e-7))
-        num_xi = (f(W0, B0, xi + eps) - f(W0, B0, xi - eps)) / (2 * eps)
-        worst = max(worst, abs(dxi - num_xi) / max(abs(num_xi), 1e-7))
+        worst = worst_gradient_error(f, risk.W, risk.B, math.log(state.theta), dW, dB, dxi)
         assert worst < 1e-4
 
 
@@ -317,8 +308,9 @@ class TestTrainStep:
         cfg = TrainConfig(learning_rate=0.0, xi_learning_rate=0.0, dropout_fraction=0.1)
         new_risk, xi, info = train_step(ds, evaluate_terms(ds, state), post, state, cfg,
                                         epochs=5, seed=3)
-        np.testing.assert_array_equal(new_risk.W, state.risk_model.W)
-        np.testing.assert_array_equal(new_risk.B, state.risk_model.B)
+        for new, old in zip(new_risk.networks, state.risk_model.networks):
+            for a, b in zip(new.weights + new.biases, old.weights + old.biases):
+                np.testing.assert_array_equal(a, b)
         assert xi == math.log(state.theta)
 
     def test_output_bias_stays_zero(self):
@@ -326,8 +318,6 @@ class TestTrainStep:
         cfg = TrainConfig(learning_rate=1e-2, dropout_fraction=0.2)
         new_risk, _, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg,
                                     epochs=40, seed=5)
-        last = len(new_risk.dims) - 2
-        np.testing.assert_array_equal(new_risk.B[:, last, :], 0.0)
         for net in new_risk.networks:
             assert np.all(net.biases[-1] == 0.0)
 
@@ -349,7 +339,9 @@ class TestTrainStep:
         cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.3)
         a, xa, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, epochs=10, seed=11)
         b, xb, _ = train_step(ds, evaluate_terms(ds, state), post, state, cfg, epochs=10, seed=11)
-        np.testing.assert_array_equal(a.W, b.W)
+        for net_a, net_b in zip(a.networks, b.networks):
+            for wa, wb in zip(net_a.weights, net_b.weights):
+                np.testing.assert_array_equal(wa, wb)
         assert xa == xb
 
     def test_loss_decreases_over_first_epochs(self):
