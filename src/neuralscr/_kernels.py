@@ -154,9 +154,22 @@ def breslow_index(event_times, at_risk_times):
 
 
 def breslow_apply(counts, order, start, at_risk_weights):
-    """Jump sizes for the `breslow_index` of the data at these weights."""
-    csum = np.concatenate((np.zeros(1), np.cumsum(at_risk_weights[order])))
-    return counts / (csum[-1] - csum[start])
+    """Jump sizes for the `breslow_index` of the data at these weights.
+
+    Each risk set is a tail of the sorted positions; its sum is the total
+    less a prefix sum.  That difference cancels when the earlier weights are
+    many orders larger than the tail (a diverging linear coefficient does
+    this), so a tail below 2**-26 of the total, where the difference would
+    lose more than half of a double's 53 bits, is summed from the far end.
+    """
+    w = at_risk_weights[order]
+    csum = np.concatenate((np.zeros(1), np.cumsum(w)))
+    risk = csum[-1] - csum[start]
+    lossy = risk < 2.0 ** -26 * csum[-1]
+    if np.any(lossy):
+        tail = np.concatenate((np.cumsum(w[::-1])[::-1], np.zeros(1)))
+        risk = np.where(lossy, tail[start], risk)
+    return counts / risk
 
 
 def breslow_jumps(event_times, at_risk_times, at_risk_weights):

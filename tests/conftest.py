@@ -18,8 +18,13 @@ def reference_breslow_jumps(event_times, at_risk_times, at_risk_weights):
     u, counts = np.unique(event_times, return_counts=True)
     order = np.argsort(at_risk_times)
     rt = at_risk_times[order]
-    csum = np.concatenate((np.zeros(1), np.cumsum(at_risk_weights[order])))
-    return u, counts / (csum[-1] - csum[np.searchsorted(rt, u, side="left")])
+    w = at_risk_weights[order]
+    pos = np.searchsorted(rt, u, side="left")
+    csum = np.concatenate((np.zeros(1), np.cumsum(w)))
+    # tails that the difference would cancel are summed from the far end
+    tail = np.concatenate((np.cumsum(w[::-1])[::-1], np.zeros(1)))
+    risk = csum[-1] - csum[pos]
+    return u, counts / np.where(risk < 2.0 ** -26 * csum[-1], tail[pos], risk)
 
 
 def random_dataset(rng, n=50, p=2, censoring=0.3):

@@ -457,9 +457,13 @@ class TestStopReason:
 def linear_datasets(draw):
     """Small illness-death datasets from the linear-risk gamma-frailty model
     (theta 0.5, coefficients in [-1, 1], about 30% censored)."""
-    n = draw(st.integers(40, 120))
-    p = draw(st.integers(1, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return linear_dataset(draw(st.integers(40, 120)), draw(st.integers(1, 2)),
+                          draw(st.integers(0, 2**32 - 1)))
+
+
+def linear_dataset(n, p, seed):
+    """One draw of :func:`linear_datasets`."""
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     rate = rng.gamma(2.0, 0.5, size=(n, 1)) * np.exp(x @ rng.uniform(-1, 1, size=(3, p)).T)
     t1, t2_direct, soj = (rng.exponential(1.0 / rate[:, g]) for g in range(3))
@@ -505,6 +509,9 @@ class TestSquarem:
 
     @settings(max_examples=40, deadline=None)
     @given(ds=linear_datasets())
+    # transition 3's coefficients diverge, and its Breslow risk sums once
+    # cancelled: pass 76 lost 2.3e-4 of log likelihood
+    @example(ds=linear_dataset(40, 2, 4338486))
     def test_trace_log_likelihood_never_falls(self, ds):
         res = quiet_run_em(ds, LinearRiskSpec(theta_init=0.7),
                            EMConfig(max_iterations=300, tolerance=1e-8))

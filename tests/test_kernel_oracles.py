@@ -213,6 +213,17 @@ class TestEventIndex:
         np.testing.assert_array_equal(composed[0], ref_times)
         np.testing.assert_array_equal(composed[1], ref_jumps)
 
+    def test_breslow_tails_do_not_cancel(self):
+        # early weights up to 1e38 times the late ones, as under a diverging
+        # linear coefficient: total-less-prefix risk sums lose every digit of
+        # the late tails; no tail may lose more than half its 53 bits
+        rt = np.arange(1.0, 13.0)
+        w = 10.0 ** np.linspace(8.0, -30.0, 12)
+        ev = rt[[1, 4, 8, 10, 11]]
+        _, jumps = _kernels.breslow_jumps(ev, rt, w)
+        exact = [1.0 / math.fsum(w[rt >= t]) for t in ev]
+        np.testing.assert_allclose(jumps, exact, rtol=2.0 ** -26)
+
     @settings(max_examples=200, deadline=None)
     @given(jumps=st.lists(st.tuples(ticks.filter(lambda t: t > 0), st.floats(0.01, 5.0)),
                           min_size=1, max_size=12),
