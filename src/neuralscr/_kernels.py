@@ -6,11 +6,20 @@ functions assume clean inputs.
 Dropout masks come from a counter-based splitmix64 stream keyed on
 (seed, epoch, sub-network, layer), so a mask depends on its key alone and no
 global generator state is touched.
+
+A dropout `train_networks` call on a large enough batch runs on two
+threads.  While the calling thread takes an epoch's training pass, one
+helper thread evaluates the dropout-free loss at that epoch's parameters and
+then draws the next epoch's masks; neither depends on the pass.  Every float
+comes from the same operations as in a serial loop, so the results are the
+serial loop's at any thread timing and any BLAS thread count.  The helper
+starts and ends inside the call; without dropout no helper starts.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -232,6 +241,13 @@ def dropout_mask(key, g, layer, rows, cols, q):
     return mask
 
 
+def epoch_masks(key, dims, rows, q):
+    """Every dropout mask of one epoch at the splitmix64 key: masks[g][l]
+    for hidden layer l of sub-network g, `rows` rows each."""
+    return [[dropout_mask(key, g, l, rows, k, q) for l, k in enumerate(dims[1:-1])]
+            for g in range(3)]
+
+
 # ---------------------------------------------------------------------------
 # Multi-task risk networks.
 #
@@ -317,6 +333,21 @@ def q4(nf, xi, sum_elog, sum_egam):
     return -nf * xi * inv_t + (inv_t - 1.0) * sum_elog - inv_t * sum_egam - nf * math.lgamma(inv_t)
 
 
+def _exact_loss(W, B, X, ev, lam, egam, elog, const_q123, xi, l2):
+    """:func:`q_loss_eval`'s value, computed from the module's untraced
+    building blocks so that the dropout helper thread can run it."""
+    n = X.shape[0]
+    nf = float(n)
+    Xa = _with_reference_row(X)
+    q = const_q123
+    for g in range(3):
+        out = mlp_output(list(zip(W[g], B[g])), Xa)
+        h = out[:n] - out[n]
+        q += np.sum(ev[g] * h - egam * lam[g] * np.exp(h))
+    q += q4(nf, xi, np.sum(elog), np.sum(egam))
+    return -q / nf + l2 * sum_of_squares(W, B)
+
+
 def q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2):
     """Full-objective value -(Q1+Q2+Q3+Q4)/n + l2 * sum of squared weights
     and biases.
@@ -326,37 +357,30 @@ def q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2):
     hidden biases keeps the sub-networks close to the positively-homogeneous
     subclass, which pins the additive level of h against the baselines.
     """
-    nf = float(X.shape[0])
-    q = const_q123
-    for g in range(3):
-        h = net_forward(list(zip(W[g], B[g])), X)
-        q += np.sum(ev[g] * h - egam * lam[g] * np.exp(h))
-    q += q4(nf, xi, np.sum(elog), np.sum(egam))
-    return -q / nf + l2 * sum_of_squares(W, B)
+    return _exact_loss(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
 
 
 def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
-                   dropout_q, rng_key, train_xi):
+                   dropout_q, rng_key, train_xi, *, masks=None):
     """Training loss with dropout plus reverse-mode gradients.
 
     Returns (loss, dW, dB, dxi), with dW and dB nested as W and B are.
-    Dropout masks, one per hidden layer of width dims[l + 1], are drawn from
-    the splitmix64 stream at rng_key; dropout_q = 0.0 gives a deterministic
-    pass.
+    Dropout masks, one per hidden layer of width dims[l + 1], are the
+    :func:`epoch_masks` at rng_key, drawn here unless given as `masks`;
+    dropout_q = 0.0 gives a deterministic pass.
     """
     n = X.shape[0]
     nf = float(n)
     Xa = _with_reference_row(X)
     dW, dB = [], []
+    if dropout_q > 0.0 and masks is None:
+        masks = epoch_masks(rng_key, dims, n + 1, dropout_q)
 
     q = const_q123
     for g in range(3):
         layers = list(zip(W[g], B[g]))
-        masks = None
-        if dropout_q > 0.0:
-            masks = [dropout_mask(rng_key, g, l, n + 1, k, dropout_q)
-                     for l, k in enumerate(dims[1:-1])]
-        ins, zs = mlp(layers, Xa, masks)
+        net_masks = None if masks is None else masks[g]
+        ins, zs = mlp(layers, Xa, net_masks)
         out = zs[-1][:, 0]
         h = out[:n] - out[n]
         mu = egam * lam[g] * np.exp(h)
@@ -378,8 +402,8 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
             if l > 0:
                 # the output layer has one unit: its dZ @ w is an outer product
                 dZ = dZ * w if l == last else dZ @ w
-                if masks is not None:
-                    dZ *= masks[l - 1]
+                if net_masks is not None:
+                    dZ *= net_masks[l - 1]
                 # relu gate by multiplication: wherever dZ is finite this
                 # zeroes the inactive units (a zero may come out as -0.0)
                 dZ *= zs[l - 1] > 0.0
@@ -402,6 +426,52 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
     return loss, dW, dB, dxi
 
 
+# The helper runs when a sub-network's hidden layers hold at least this many
+# activations per epoch ((n + 1) times the hidden units).  Below it, the two
+# threads' hand-offs of the interpreter lock cost more than the overlap saves:
+# on a 2-core machine at one BLAS thread, 10 epochs at q = 0.1 ran up to 2.5x
+# slower threaded at n = 100 (2x32), and the two sides crossed between 32k
+# and 48k activations for 2x16, 2x32, 2x64 and 1x32 networks.
+_HELPER_MIN_ACTIVATIONS = 50_000
+
+
+def _epoch_key(seed, epoch):
+    """The splitmix64 key of one epoch's dropout masks."""
+    return (int(seed) * 0x9E3779B97F4A7C15 + epoch * 0xBF58476D1CE4E5B9) & _MASK64
+
+
+def _dropout_helper(inbox, outbox, errors, exact_loss, masks_at, epochs):
+    """The helper thread of a dropout :func:`train_networks` call.
+
+    Puts epoch 0's masks, then, for each epoch's xi taken from the inbox,
+    the exact loss at the live parameters followed by the next epoch's
+    masks.  Stops after the last epoch, at a None in the inbox, or at an
+    exception, which it puts in place of the result it cut short.  Runs
+    under `errors`, the caller's numpy error state, which threads do not
+    inherit.
+    """
+    try:
+        with np.errstate(**errors):
+            outbox.put(masks_at(0))
+            for epoch in range(epochs):
+                xi = inbox.get()
+                if xi is None:
+                    return
+                outbox.put(exact_loss(xi))
+                if epoch + 1 < epochs:
+                    outbox.put(masks_at(epoch + 1))
+    except BaseException as exc:
+        outbox.put(exc)
+
+
+def _take(outbox):
+    """The helper's next result, re-raising the exception it put instead."""
+    item = outbox.get()
+    if isinstance(item, BaseException):
+        raise item
+    return item
+
+
 def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
                    lr, lr_xi, dropout_q, l2, epochs, seed, train_xi):
     """Full-batch adaptive-moment training of the three sub-networks and xi.
@@ -410,6 +480,13 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
     before every update and once after the last; returns the parameters that
     achieved the lowest recorded loss.  The scalar xi gets its own step size
     lr_xi.  W0 and B0 are left as they are.
+
+    With dropout, on a batch of at least `_HELPER_MIN_ACTIVATIONS` hidden
+    activations, a helper thread evaluates each epoch's deterministic loss
+    and draws the next epoch's masks while this thread takes the training
+    pass; this thread waits for the loss before it copies or steps the
+    parameters the helper reads.  The helper is joined before the call
+    returns or raises.
 
     Returns (W, B, xi, trace, diverged) where trace holds the recorded
     losses and diverged is 1 if a non-finite loss cut training short.
@@ -434,43 +511,67 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
     trace = np.full(epochs + 1, np.nan)
     diverged = 0
 
-    for epoch in range(epochs + 1):
-        if epoch < epochs:
-            epoch_key = (int(seed) * 0x9E3779B97F4A7C15 + epoch * 0xBF58476D1CE4E5B9) & _MASK64
-            train_loss, dW, dB, dxi = loss_and_grads(
-                W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
-                dropout_q, epoch_key, train_xi,
-            )
-            # with dropout off the training pass already is the exact loss
-            if dropout_q > 0.0:
-                cur = q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
+    rows = X.shape[0] + 1
+    helper = None
+    if dropout_q > 0.0 and epochs > 0 and rows * sum(dims[1:-1]) >= _HELPER_MIN_ACTIVATIONS:
+        # imported here, so that importing the package does not pay for it
+        import queue
+
+        inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()
+        helper = threading.Thread(
+            target=_dropout_helper, name="neuralscr-dropout", daemon=True,
+            args=(inbox, outbox, np.geterr(),
+                  lambda xi: _exact_loss(W, B, X, ev, lam, egam, elog, const_q123, xi, l2),
+                  lambda epoch: epoch_masks(_epoch_key(seed, epoch), dims, rows, dropout_q),
+                  epochs))
+        helper.start()
+    try:
+        for epoch in range(epochs + 1):
+            if epoch < epochs:
+                masks = None
+                if helper is not None:
+                    masks = _take(outbox)
+                    inbox.put(xi)
+                train_loss, dW, dB, dxi = loss_and_grads(
+                    W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
+                    dropout_q, _epoch_key(seed, epoch), train_xi, masks=masks,
+                )
+                if helper is not None:
+                    cur = _take(outbox)
+                elif dropout_q > 0.0:
+                    cur = q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
+                else:
+                    # with dropout off the training pass already is the exact loss
+                    cur = train_loss
             else:
-                cur = train_loss
-        else:
-            cur = q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
-        trace[epoch] = cur
-        if not np.isfinite(cur):
-            diverged = 1
-            break
-        if cur < best_loss:
-            best_loss = cur
-            best[:] = params
-            best_xi = xi
-        if epoch == epochs:
-            break
+                cur = q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
+            trace[epoch] = cur
+            if not np.isfinite(cur):
+                diverged = 1
+                break
+            if cur < best_loss:
+                best_loss = cur
+                best[:] = params
+                best_xi = xi
+            if epoch == epochs:
+                break
 
-        t = float(epoch + 1)
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
+            t = float(epoch + 1)
+            bc1 = 1.0 - beta1 ** t
+            bc2 = 1.0 - beta2 ** t
 
-        grad = np.concatenate([d.ravel() for d in _flat(dW, dB)])
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            grad = np.concatenate([d.ravel() for d in _flat(dW, dB)])
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad * grad
+            params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-        if train_xi != 0:
-            mxi = beta1 * mxi + (1.0 - beta1) * dxi
-            vxi = beta2 * vxi + (1.0 - beta2) * dxi * dxi
-            xi -= lr_xi * (mxi / bc1) / (math.sqrt(vxi / bc2) + eps)
+            if train_xi != 0:
+                mxi = beta1 * mxi + (1.0 - beta1) * dxi
+                vxi = beta2 * vxi + (1.0 - beta2) * dxi * dxi
+                xi -= lr_xi * (mxi / bc1) / (math.sqrt(vxi / bc2) + eps)
+    finally:
+        if helper is not None:
+            inbox.put(None)
+            helper.join()
 
     return (*_views(best, W0, B0), best_xi, trace, diverged)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,23 @@ def worst_gradient_error(f, W, B, xi, dW, dB, dxi, eps=1e-5):
             a[idx] = v
             worst = max(worst, gap((up - down) / (2 * eps), da[idx]))
     return max(worst, gap((f(W, B, xi + eps) - f(W, B, xi - eps)) / (2 * eps), dxi))
+
+
+@pytest.fixture
+def helper_threads(monkeypatch):
+    """The threads on which `_kernels.train_networks` ran its dropout
+    helper during the test."""
+    from neuralscr import _kernels
+
+    threads = []
+    helper = _kernels._dropout_helper
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        helper(*args)
+
+    monkeypatch.setattr(_kernels, "_dropout_helper", recorded)
+    return threads
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,14 @@
 imported.  scipy costs a fresh process about 0.3 s and 25 MB, and only the
 Weibull fit needs it, so the fit imports it when it runs; an eager import
 anywhere else fails here, before it shows up as set-up time in a benchmark.
+Nor does the command line load `concurrent.futures` (about 7 ms): the
+dropout helper thread needs only `threading`, which is loaded anyway.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +60,13 @@ def test_the_package_has_modules():
 def test_no_module_imports_scipy_at_module_scope(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "scipy" not in set(eager_imports(tree))
+
+
+def test_the_command_line_loads_no_concurrent_futures():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, neuralscr.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

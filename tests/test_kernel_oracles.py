@@ -11,7 +11,8 @@ layer's backward product by broadcasting.  The references below keep the
 plain formulas: a fresh array per mixing step, a float draw compared against
 q inside ``np.where``, ``np.where`` relu gates and matmuls throughout.  The
 kernels must return the same numbers exactly; only the sign of a zero may
-differ, which ``==`` does not see.
+differ, which ``==`` does not see.  The same holds for the epoch loop, whose
+dropout epochs run partly on a helper thread, against a serial loop.
 """
 
 import math
@@ -159,6 +160,94 @@ class TestLossAndGrads:
             for a, b in zip(sum(got, []), sum(want, [])):
                 np.testing.assert_array_equal(a, b)
         assert dxi == ref[3]
+
+
+def reference_train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
+                             lr, lr_xi, dropout_q, l2, epochs, seed, train_xi):
+    """The epoch loop on one thread: each epoch's training pass, then its
+    dropout-free loss, then an Adam step on every array in turn."""
+    W = [[w.copy() for w in net] for net in W0]
+    B = [[b.copy() for b in net] for net in B0]
+    arrays = [a for params in (W, B) for net in params for a in net]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    xi, mxi, vxi = xi0, 0.0, 0.0
+    best = ([a.copy() for a in arrays], xi)
+    best_loss = np.inf
+    trace = np.full(epochs + 1, np.nan)
+    for epoch in range(epochs + 1):
+        if epoch < epochs:
+            key = (int(seed) * 0x9E3779B97F4A7C15 + epoch * 0xBF58476D1CE4E5B9) & MASK64
+            train_loss, dW, dB, dxi = _kernels.loss_and_grads(
+                W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2, dropout_q, key,
+                train_xi)
+            cur = train_loss
+            if dropout_q > 0.0:
+                cur = _kernels.q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
+        else:
+            cur = _kernels.q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
+        trace[epoch] = cur
+        if not np.isfinite(cur):
+            break
+        if cur < best_loss:
+            best_loss = cur
+            best = ([a.copy() for a in arrays], xi)
+        if epoch == epochs:
+            break
+        t = float(epoch + 1)
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        grads = [d for grads in (dW, dB) for net in grads for d in net]
+        for a, d, ma, va in zip(arrays, grads, m, v):
+            ma[:] = 0.9 * ma + (1.0 - 0.9) * d
+            va[:] = 0.999 * va + (1.0 - 0.999) * d * d
+            a -= lr * (ma / bc1) / (np.sqrt(va / bc2) + 1e-8)
+        if train_xi != 0:
+            mxi = 0.9 * mxi + (1.0 - 0.9) * dxi
+            vxi = 0.999 * vxi + (1.0 - 0.999) * dxi * dxi
+            xi -= lr_xi * (mxi / bc1) / (math.sqrt(vxi / bc2) + 1e-8)
+    parts = iter(best[0])
+    W_best = [[next(parts) for _ in net] for net in W0]
+    B_best = [[next(parts) for _ in net] for net in B0]
+    return W_best, B_best, best[1], trace, int(not np.all(np.isfinite(trace)))
+
+
+class TestTrainNetworks:
+    """The epoch loop against the one-thread loop, on batches below and
+    above the size at which dropout epochs draw masks and evaluate the
+    dropout-free loss on a helper thread ((n + 1) x 8 hidden units reaches
+    it at n = 6400)."""
+
+    def assert_same_training(self, args, hyper):
+        got = _kernels.train_networks(*args, *hyper)
+        want = reference_train_networks(*args, *hyper)
+        for nested_got, nested_want in zip(got[:2], want[:2]):
+            for a, b in zip(sum(nested_got, []), sum(nested_want, [])):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+        assert got[2] == want[2]
+        np.testing.assert_array_equal(got[3], want[3])
+        assert got[4] == want[4]
+        return got
+
+    @pytest.mark.parametrize("n", [50, 6400])
+    @pytest.mark.parametrize("dropout_q", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("epochs", [1, 2, 8])
+    @pytest.mark.parametrize("dims", [(2, 4, 4, 1), (3, 8, 1)])
+    def test_matches_the_serial_loop(self, dropout_q, epochs, dims, n, helper_threads):
+        args = training_inputs(epochs, n, dims)
+        got = self.assert_same_training(args, (1e-2, 5e-3, dropout_q, 1e-3, epochs, 17, 1))
+        assert got[4] == 0
+        assert len(helper_threads) == (dropout_q > 0.0 and n == 6400)
+
+    @pytest.mark.parametrize("n", [50, 6400])
+    @pytest.mark.parametrize("dropout_q", [0.0, 0.1])
+    def test_matches_the_serial_loop_when_it_diverges(self, dropout_q, n, helper_threads):
+        # Adam steps of about lr = 50 blow the outputs up within a few epochs
+        args = training_inputs(5, n, (2, 4, 4, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = self.assert_same_training(args, (50.0, 5e-3, dropout_q, 1e-3, 8, 17, 1))
+        assert got[4] == 1 and np.isfinite(got[3][0])
+        assert len(helper_threads) == (dropout_q > 0.0 and n == 6400)
 
 
 class TestDropThreshold:

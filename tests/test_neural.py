@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from neuralscr.em import EMConfig, LinearRiskSpec, nelson_aalen_seed, q_function
 from neuralscr.frailty import posterior
 from neuralscr.likelihood import evaluate_terms
 from neuralscr.neural import (
+    DivergedLossWarning,
     NeuralRisk,
     NeuralRiskSpec,
     RiskNetwork,
@@ -199,6 +201,61 @@ class TestDropoutMask:
             _kernels.train_networks(*args, 1e-3, 0.05, 0.25, 1e-4, 5, 2**32 - 1, 1)
 
 
+class TestTrainingThreads:
+    """A dropout `train_networks` call on a large batch runs a helper thread,
+    and joins it before it returns or raises."""
+
+    # (n + 1) x 8 hidden units reaches _kernels._HELPER_MIN_ACTIVATIONS
+    LARGE = 6400
+
+    def test_no_thread_outlives_a_call(self, helper_threads):
+        start = threading.active_count()
+        args = kernel_inputs(22, self.LARGE)
+        _kernels.train_networks(*args, 1e-3, 0.05, 0.25, 1e-4, 5, 3, 1)
+        assert threading.active_count() == start
+        assert len(helper_threads) == 1 and helper_threads[0] is not threading.current_thread()
+
+    def test_no_thread_outlives_a_diverging_call(self, helper_threads):
+        start = threading.active_count()
+        args = kernel_inputs(23, self.LARGE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, diverged = _kernels.train_networks(*args, 50.0, 0.05, 0.25, 1e-4, 8, 3, 1)
+        assert diverged == 1
+        assert threading.active_count() == start
+        assert len(helper_threads) == 1
+
+    def test_a_helper_error_propagates_unchanged(self, monkeypatch):
+        error = RuntimeError("mask failure")
+        draw = _kernels.dropout_mask
+        callers = []
+
+        def failing_mask(*args):
+            callers.append(threading.current_thread())
+            if len(callers) == 3:
+                raise error
+            return draw(*args)
+
+        monkeypatch.setattr(_kernels, "dropout_mask", failing_mask)
+        start = threading.active_count()
+        args = kernel_inputs(24, self.LARGE)
+        with pytest.raises(RuntimeError) as raised:
+            _kernels.train_networks(*args, 1e-3, 0.05, 0.25, 1e-4, 5, 3, 1)
+        assert raised.value is error
+        assert callers[-1] is not threading.current_thread()
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("n, dropout_q", [(LARGE, 0.0), (40, 0.25)],
+                             ids=["no-dropout", "small-batch"])
+    def test_no_thread_starts_without_dropout_or_below_the_size(self, monkeypatch, n,
+                                                                   dropout_q):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        args = kernel_inputs(25, n)
+        _kernels.train_networks(*args, 1e-3, 0.05, dropout_q, 1e-4, 5, 3, 1)
+
+
 class TestNeuralRiskValues:
     def test_centered_at_origin(self):
         rng = np.random.default_rng(12)
@@ -343,6 +400,26 @@ class TestTrainStep:
             for wa, wb in zip(net_a.weights, net_b.weights):
                 np.testing.assert_array_equal(wa, wb)
         assert xa == xb
+
+    def test_dropout_overflow_warns_only_of_the_divergence(self, helper_threads):
+        # exp(h) overflows at the starting parameters, in the dropout-free
+        # loss that the helper thread evaluates; train_step silences numpy's
+        # overflow warning on that thread too
+        # (n + 1) x 16 hidden units runs the helper
+        ds, state, post = self.make_problem(n=3200)
+        nets = [RiskNetwork(net.weights[:-1] + [net.weights[-1] * 1e5], net.biases)
+                for net in state.risk_model.networks]
+        state = ModelState(state.lambda01, state.lambda02, state.lambda03,
+                           theta=state.theta, risk_model=NeuralRisk(nets))
+        cfg = TrainConfig(learning_rate=1e-3, dropout_fraction=0.2)
+        with np.errstate(over="ignore"):
+            terms = evaluate_terms(ds, state)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, info = train_step(ds, terms, post, state, cfg, epochs=3, seed=5)
+        assert info.diverged and not np.isfinite(info.loss_trace[0])
+        assert [w.category for w in caught] == [DivergedLossWarning]
+        assert len(helper_threads) == 1
 
     def test_loss_decreases_over_first_epochs(self):
         # over 10 seeds, >= 9 training runs must improve within 5 epochs
