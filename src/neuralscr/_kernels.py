@@ -7,13 +7,14 @@ Dropout masks come from a counter-based splitmix64 stream keyed on
 (seed, epoch, sub-network, layer), so a mask depends on its key alone and no
 global generator state is touched.
 
-A dropout `train_networks` call on a large enough batch runs on two
-threads.  While the calling thread takes an epoch's training pass, one
-helper thread evaluates the dropout-free loss at that epoch's parameters and
-then draws the next epoch's masks; neither depends on the pass.  Every float
-comes from the same operations as in a serial loop, so the results are the
-serial loop's at any thread timing and any BLAS thread count.  The helper
-starts and ends inside the call; without dropout no helper starts.
+A dropout `train_networks` call runs on two threads.  While the calling
+thread takes an epoch's training pass, one helper thread evaluates the
+dropout-free loss at that epoch's parameters and then draws the next epoch's
+masks, handing them over one sub-network at a time; neither depends on the
+pass.  Every float comes from the same operations as in a serial loop, so
+the results are the serial loop's at any thread timing and any BLAS thread
+count.  The helper starts and ends inside the call; without dropout no
+helper starts.
 """
 
 from __future__ import annotations
@@ -241,11 +242,10 @@ def dropout_mask(key, g, layer, rows, cols, q):
     return mask
 
 
-def epoch_masks(key, dims, rows, q):
-    """Every dropout mask of one epoch at the splitmix64 key: masks[g][l]
-    for hidden layer l of sub-network g, `rows` rows each."""
-    return [[dropout_mask(key, g, l, rows, k, q) for l, k in enumerate(dims[1:-1])]
-            for g in range(3)]
+def network_masks(key, g, dims, rows, q):
+    """The dropout masks of sub-network g at one epoch's splitmix64 key:
+    one per hidden layer, `rows` rows each."""
+    return [dropout_mask(key, g, l, rows, k, q) for l, k in enumerate(dims[1:-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,8 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
 
     Returns (loss, dW, dB, dxi), with dW and dB nested as W and B are.
     Dropout masks, one per hidden layer of width dims[l + 1], are the
-    :func:`epoch_masks` at rng_key, drawn here unless given as `masks`;
+    :func:`network_masks` at rng_key, drawn here one sub-network at a time
+    unless `masks` yields them, sub-network by sub-network;
     dropout_q = 0.0 gives a deterministic pass.
     """
     n = X.shape[0]
@@ -374,12 +375,14 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
     Xa = _with_reference_row(X)
     dW, dB = [], []
     if dropout_q > 0.0 and masks is None:
-        masks = epoch_masks(rng_key, dims, n + 1, dropout_q)
+        masks = (network_masks(rng_key, g, dims, n + 1, dropout_q) for g in range(3))
+    if masks is not None:
+        masks = iter(masks)
 
     q = const_q123
     for g in range(3):
         layers = list(zip(W[g], B[g]))
-        net_masks = None if masks is None else masks[g]
+        net_masks = None if masks is None else next(masks)
         ins, zs = mlp(layers, Xa, net_masks)
         out = zs[-1][:, 0]
         h = out[:n] - out[n]
@@ -426,40 +429,43 @@ def loss_and_grads(W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
     return loss, dW, dB, dxi
 
 
-# The helper runs when a sub-network's hidden layers hold at least this many
-# activations per epoch ((n + 1) times the hidden units).  Below it, the two
-# threads' hand-offs of the interpreter lock cost more than the overlap saves:
-# on a 2-core machine at one BLAS thread, 10 epochs at q = 0.1 ran up to 2.5x
-# slower threaded at n = 100 (2x32), and the two sides crossed between 32k
-# and 48k activations for 2x16, 2x32, 2x64 and 1x32 networks.
-_HELPER_MIN_ACTIVATIONS = 50_000
-
-
 def _epoch_key(seed, epoch):
     """The splitmix64 key of one epoch's dropout masks."""
     return (int(seed) * 0x9E3779B97F4A7C15 + epoch * 0xBF58476D1CE4E5B9) & _MASK64
 
 
-def _dropout_helper(inbox, outbox, errors, exact_loss, masks_at, epochs):
+def _dropout_helper(inbox, outbox, slots, stop, errors, exact_loss, masks_at, epochs):
     """The helper thread of a dropout :func:`train_networks` call.
 
-    Puts epoch 0's masks, then, for each epoch's xi taken from the inbox,
-    the exact loss at the live parameters followed by the next epoch's
-    masks.  Stops after the last epoch, at a None in the inbox, or at an
-    exception, which it puts in place of the result it cut short.  Runs
-    under `errors`, the caller's numpy error state, which threads do not
-    inherit.
+    Puts epoch 0's masks, sub-network by sub-network, then, for each
+    epoch's xi taken from the inbox, the exact loss at the live parameters
+    followed by the next epoch's masks.  Takes one of `slots` before it
+    draws a sub-network's masks, and the calling thread gives one back as it
+    takes them, so at most one sub-network's masks wait ahead of the pass.
+    Stops after the last epoch, at a None in the inbox, once `stop` is set,
+    or at an exception, which it puts in place of the result it cut short.
+    Runs under `errors`, the caller's numpy error state, which threads do
+    not inherit.
     """
+    def put_masks(epoch):
+        for g in range(3):
+            slots.acquire()
+            if stop.is_set():
+                return False
+            outbox.put(masks_at(epoch, g))
+        return True
+
     try:
         with np.errstate(**errors):
-            outbox.put(masks_at(0))
+            if not put_masks(0):
+                return
             for epoch in range(epochs):
                 xi = inbox.get()
                 if xi is None:
                     return
                 outbox.put(exact_loss(xi))
-                if epoch + 1 < epochs:
-                    outbox.put(masks_at(epoch + 1))
+                if epoch + 1 < epochs and not put_masks(epoch + 1):
+                    return
     except BaseException as exc:
         outbox.put(exc)
 
@@ -472,6 +478,15 @@ def _take(outbox):
     return item
 
 
+def _handed_masks(outbox, slots):
+    """One epoch's masks as the helper puts them, sub-network by
+    sub-network, giving back a slot for each."""
+    for _ in range(3):
+        masks = _take(outbox)
+        slots.release()
+        yield masks
+
+
 def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
                    lr, lr_xi, dropout_q, l2, epochs, seed, train_xi):
     """Full-batch adaptive-moment training of the three sub-networks and xi.
@@ -481,12 +496,11 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
     achieved the lowest recorded loss.  The scalar xi gets its own step size
     lr_xi.  W0 and B0 are left as they are.
 
-    With dropout, on a batch of at least `_HELPER_MIN_ACTIVATIONS` hidden
-    activations, a helper thread evaluates each epoch's deterministic loss
-    and draws the next epoch's masks while this thread takes the training
-    pass; this thread waits for the loss before it copies or steps the
-    parameters the helper reads.  The helper is joined before the call
-    returns or raises.
+    With dropout, a helper thread draws the masks and evaluates each
+    epoch's deterministic loss while this thread takes the training pass;
+    this thread waits for the loss before it copies or steps the parameters
+    the helper reads.  The helper is joined before the call returns or
+    raises.
 
     Returns (W, B, xi, trace, diverged) where trace holds the recorded
     losses and diverged is 1 if a non-finite loss cut training short.
@@ -513,16 +527,18 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
 
     rows = X.shape[0] + 1
     helper = None
-    if dropout_q > 0.0 and epochs > 0 and rows * sum(dims[1:-1]) >= _HELPER_MIN_ACTIVATIONS:
+    if dropout_q > 0.0 and epochs > 0:
         # imported here, so that importing the package does not pay for it
         import queue
 
         inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()
+        slots, stop = threading.Semaphore(1), threading.Event()
         helper = threading.Thread(
             target=_dropout_helper, name="neuralscr-dropout", daemon=True,
-            args=(inbox, outbox, np.geterr(),
+            args=(inbox, outbox, slots, stop, np.geterr(),
                   lambda xi: _exact_loss(W, B, X, ev, lam, egam, elog, const_q123, xi, l2),
-                  lambda epoch: epoch_masks(_epoch_key(seed, epoch), dims, rows, dropout_q),
+                  lambda epoch, g: network_masks(_epoch_key(seed, epoch), g, dims, rows,
+                                                 dropout_q),
                   epochs))
         helper.start()
     try:
@@ -530,16 +546,14 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
             if epoch < epochs:
                 masks = None
                 if helper is not None:
-                    masks = _take(outbox)
                     inbox.put(xi)
+                    masks = _handed_masks(outbox, slots)
                 train_loss, dW, dB, dxi = loss_and_grads(
                     W, B, dims, X, ev, lam, egam, elog, const_q123, xi, l2,
                     dropout_q, _epoch_key(seed, epoch), train_xi, masks=masks,
                 )
                 if helper is not None:
                     cur = _take(outbox)
-                elif dropout_q > 0.0:
-                    cur = q_loss_eval(W, B, X, ev, lam, egam, elog, const_q123, xi, l2)
                 else:
                     # with dropout off the training pass already is the exact loss
                     cur = train_loss
@@ -571,6 +585,8 @@ def train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, xi0,
                 xi -= lr_xi * (mxi / bc1) / (math.sqrt(vxi / bc2) + eps)
     finally:
         if helper is not None:
+            stop.set()
+            slots.release()
             inbox.put(None)
             helper.join()
 

@@ -212,10 +212,10 @@ def reference_train_networks(W0, B0, dims, X, ev, lam, egam, elog, const_q123, x
 
 
 class TestTrainNetworks:
-    """The epoch loop against the one-thread loop, on batches below and
-    above the size at which dropout epochs draw masks and evaluate the
-    dropout-free loss on a helper thread ((n + 1) x 8 hidden units reaches
-    it at n = 6400)."""
+    """The epoch loop against the one-thread loop.  Dropout epochs draw their
+    masks and evaluate the dropout-free loss on a helper thread; the larger
+    batch holds matrix products long enough for numpy to release the
+    interpreter lock, so the two threads overlap."""
 
     def assert_same_training(self, args, hyper):
         got = _kernels.train_networks(*args, *hyper)
@@ -237,7 +237,7 @@ class TestTrainNetworks:
         args = training_inputs(epochs, n, dims)
         got = self.assert_same_training(args, (1e-2, 5e-3, dropout_q, 1e-3, epochs, 17, 1))
         assert got[4] == 0
-        assert len(helper_threads) == (dropout_q > 0.0 and n == 6400)
+        assert len(helper_threads) == (dropout_q > 0.0)
 
     @pytest.mark.parametrize("n", [50, 6400])
     @pytest.mark.parametrize("dropout_q", [0.0, 0.1])
@@ -247,7 +247,7 @@ class TestTrainNetworks:
         with np.errstate(over="ignore", invalid="ignore"):
             got = self.assert_same_training(args, (50.0, 5e-3, dropout_q, 1e-3, 8, 17, 1))
         assert got[4] == 1 and np.isfinite(got[3][0])
-        assert len(helper_threads) == (dropout_q > 0.0 and n == 6400)
+        assert len(helper_threads) == (dropout_q > 0.0)
 
 
 class TestDropThreshold:

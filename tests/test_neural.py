@@ -202,22 +202,21 @@ class TestDropoutMask:
 
 
 class TestTrainingThreads:
-    """A dropout `train_networks` call on a large batch runs a helper thread,
-    and joins it before it returns or raises."""
+    """A dropout `train_networks` call runs a helper thread, and joins it
+    before it returns or raises."""
 
-    # (n + 1) x 8 hidden units reaches _kernels._HELPER_MIN_ACTIVATIONS
-    LARGE = 6400
+    N = 400
 
     def test_no_thread_outlives_a_call(self, helper_threads):
         start = threading.active_count()
-        args = kernel_inputs(22, self.LARGE)
+        args = kernel_inputs(22, self.N)
         _kernels.train_networks(*args, 1e-3, 0.05, 0.25, 1e-4, 5, 3, 1)
         assert threading.active_count() == start
         assert len(helper_threads) == 1 and helper_threads[0] is not threading.current_thread()
 
     def test_no_thread_outlives_a_diverging_call(self, helper_threads):
         start = threading.active_count()
-        args = kernel_inputs(23, self.LARGE)
+        args = kernel_inputs(23, self.N)
         with np.errstate(over="ignore", invalid="ignore"):
             *_, diverged = _kernels.train_networks(*args, 50.0, 0.05, 0.25, 1e-4, 8, 3, 1)
         assert diverged == 1
@@ -237,23 +236,20 @@ class TestTrainingThreads:
 
         monkeypatch.setattr(_kernels, "dropout_mask", failing_mask)
         start = threading.active_count()
-        args = kernel_inputs(24, self.LARGE)
+        args = kernel_inputs(24, self.N)
         with pytest.raises(RuntimeError) as raised:
             _kernels.train_networks(*args, 1e-3, 0.05, 0.25, 1e-4, 5, 3, 1)
         assert raised.value is error
         assert callers[-1] is not threading.current_thread()
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("n, dropout_q", [(LARGE, 0.0), (40, 0.25)],
-                             ids=["no-dropout", "small-batch"])
-    def test_no_thread_starts_without_dropout_or_below_the_size(self, monkeypatch, n,
-                                                                   dropout_q):
+    def test_no_thread_starts_without_dropout(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread started")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        args = kernel_inputs(25, n)
-        _kernels.train_networks(*args, 1e-3, 0.05, dropout_q, 1e-4, 5, 3, 1)
+        args = kernel_inputs(25, self.N)
+        _kernels.train_networks(*args, 1e-3, 0.05, 0.0, 1e-4, 5, 3, 1)
 
 
 class TestNeuralRiskValues:
@@ -405,8 +401,7 @@ class TestTrainStep:
         # exp(h) overflows at the starting parameters, in the dropout-free
         # loss that the helper thread evaluates; train_step silences numpy's
         # overflow warning on that thread too
-        # (n + 1) x 16 hidden units runs the helper
-        ds, state, post = self.make_problem(n=3200)
+        ds, state, post = self.make_problem(n=200)
         nets = [RiskNetwork(net.weights[:-1] + [net.weights[-1] * 1e5], net.biases)
                 for net in state.risk_model.networks]
         state = ModelState(state.lambda01, state.lambda02, state.lambda03,
